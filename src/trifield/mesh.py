@@ -4,7 +4,9 @@ The grid is n x n square cells, each cut along the lower-left to
 upper-right diagonal, giving 2*n^2 counterclockwise triangles. Vertices
 are numbered row-major (x fastest). Boundary edges carry their owning
 triangle, the outward unit normal of the square and the edge length h_e,
-which the edge-wise boundary norms and the Nitsche terms need.
+which the edge-wise boundary norms and the Nitsche terms need. Halving
+the grid nests the triangulations, and `prolongation` gives the exact P1
+interpolation between two nested levels.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse
 
 
 @dataclass(frozen=True)
@@ -140,6 +143,35 @@ def all_element_geometry(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
         grads[:, a, 1] = e[:, 0]
     grads /= twice_area[:, None, None]
     return 0.5 * twice_area, grads
+
+
+def prolongation(n_coarse: int) -> scipy.sparse.csr_matrix:
+    """P1 interpolation from grid n_coarse to grid 2 n_coarse, as a sparse matrix.
+
+    Every coarse triangle is the union of four fine ones, so a coarse P1
+    function is exactly P1 on the fine grid. A fine vertex on a coarse vertex
+    takes its value (one entry of 1); the midpoint of a coarse horizontal,
+    vertical or diagonal edge averages the two endpoints (two entries of 1/2).
+    Rows are fine vertices and columns coarse ones, both numbered as in
+    `build_structured_unit_square`.
+    """
+    if n_coarse < 1:
+        raise ValueError(f"coarse refinement level must be >= 1, got {n_coarse}")
+    n = 2 * n_coarse
+    i, j = np.meshgrid(np.arange(n + 1), np.arange(n + 1), indexing="xy")
+    i, j = i.ravel(), j.ravel()
+    # the coarse endpoints of the edge through fine vertex (i, j): they run
+    # along x for odd i, along y for odd j, along the lower-left to
+    # upper-right diagonal for both, and coincide when i and j are even
+    lower = (j // 2) * (n_coarse + 1) + i // 2
+    upper = ((j + 1) // 2) * (n_coarse + 1) + (i + 1) // 2
+    fine = np.arange((n + 1) ** 2)
+    coo = scipy.sparse.coo_matrix(
+        (np.full(2 * fine.size, 0.5), (np.concatenate([fine, fine]),
+                                       np.concatenate([lower, upper]))),
+        shape=((n + 1) ** 2, (n_coarse + 1) ** 2),
+    )
+    return coo.tocsr()  # sums the two halves on coarse vertices
 
 
 def write_mesh_files(mesh: Mesh, directory: str | Path) -> tuple[Path, Path]:

@@ -56,7 +56,25 @@ def test_run_study_reports_are_complete():
     assert len(doc["levels"]) == 2
     for record in doc["levels"]:
         assert record["solver"]["converged"] is True
+        assert record["solver"]["preconditioner"] == "jacobi"
+        assert record["solver"]["mg_levels"] == 0
         assert "wall" not in json.dumps(record["solver"])  # deterministic payload
+
+    # level 64 runs the multigrid path; wall times are reported in process only
+    config = StudyConfig(example=ExampleId.EXAMPLE1, levels=(32, 64),
+                         output_format="json")
+    result = run_study(config)
+    reports = result.solver_reports()
+    solver = [record["solver"] for record in json.loads(result.render())["levels"]]
+    assert solver == [{k: v for k, v in r.items() if k != "wall_time"} for r in reports]
+    assert [s["level"] for s in solver] == [32, 64]
+    assert [s["preconditioner"] for s in solver] == ["jacobi", "multigrid"]
+    assert [s["mg_levels"] for s in solver] == [0, 4]
+    for record, sol in zip(reports, result.solutions):
+        assert record["wall_time"] == sol.report.wall_time > 0.0
+        assert record["iterations"] == sol.report.iterations > 0
+        assert record["converged"] is True
+        assert record["relative_residual"] <= config.cg_tol
 
 
 def test_run_study_accepts_custom_problem():
@@ -75,6 +93,34 @@ def test_run_study_accepts_custom_problem():
     result = run_study(config, data=data)
     assert 1.7 <= result.table.rate_u_l2[-1] <= 2.3
     assert result.table.err_u_l2[-1] < result.table.err_u_l2[0]
+
+
+def nan_source_problem():
+    from trifield.problems import ProblemData
+
+    return ProblemData(
+        f=lambda x, y: np.full_like(np.asarray(x, dtype=float), np.nan),
+        g_dirichlet=lambda x, y: np.zeros_like(np.asarray(x, dtype=float)),
+        exact_u=lambda x, y: np.zeros_like(np.asarray(x, dtype=float)),
+        exact_grad_u=lambda x, y: np.zeros((2, *np.shape(x))),
+        name="nan source",
+    )
+
+
+def test_non_finite_data_fails_fast():
+    import time
+
+    config = StudyConfig(example=ExampleId.CUSTOM, levels=(4, 8))
+    start = time.perf_counter()
+    with pytest.raises(ConfigError, match=r"loads at level n=4 are not finite"):
+        run_study(config, data=nan_source_problem())
+    assert time.perf_counter() - start < 1.0
+
+
+def test_main_non_finite_data_exits_2(monkeypatch, capsys):
+    monkeypatch.setattr("trifield.cli.by_id", lambda example: nan_source_problem())
+    assert main(["--levels", "4"]) == 2
+    assert "not finite" in capsys.readouterr().err
 
 
 def test_run_oracle_check_passes_small_levels():

@@ -187,6 +187,35 @@ def test_cg_reports_nonconvergence():
         cg_solve(CsrMatrix.identity(2), np.ones(2), tol=2.0)
 
 
+def test_cg_rejects_non_finite_rhs():
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            cg_solve(CsrMatrix.identity(3), np.array([1.0, bad, 0.0]))
+
+
+def test_cg_flags_indefinite_preconditioner():
+    # r.z <= 0 cannot happen with an SPD preconditioner
+    x, report = cg_solve(CsrMatrix.identity(3), np.ones(3), precond=lambda r: -r)
+    assert report.indefinite and not report.converged
+    assert report.iterations == 0
+    np.testing.assert_array_equal(x, 0.0)
+
+
+def test_cg_custom_preconditioner():
+    rng = np.random.default_rng(5)
+    root = rng.standard_normal((40, 40))
+    spd = root @ root.T + np.diag(np.linspace(1.0, 1e3, 40))
+    b = rng.standard_normal(40)
+    mat = CsrMatrix.from_dense(spd)
+    exact = np.linalg.inv(spd)
+    x, report = cg_solve(mat, b, tol=1e-12, precond=lambda r: exact @ r)
+    assert report.converged and report.iterations <= 2
+    assert report.preconditioner is None and report.mg_levels == 0
+    np.testing.assert_allclose(x, np.linalg.solve(spd, b), rtol=1e-10)
+    _, jacobi = cg_solve(mat, b, tol=1e-12)
+    assert jacobi.preconditioner == "jacobi" and jacobi.iterations > report.iterations
+
+
 def test_dense_lu_identity_and_round_trip():
     rng = np.random.default_rng(3)
     np.testing.assert_allclose(dense_lu_solve(np.eye(4), np.arange(4.0)),

@@ -6,6 +6,7 @@ from trifield.mesh import (
     all_element_geometry,
     build_structured_unit_square,
     element_geometry,
+    prolongation,
     write_mesh_files,
 )
 
@@ -128,3 +129,51 @@ def test_mesh_export_round_trip(tmp_path):
     elems = np.loadtxt(elem_path, dtype=np.int64)
     np.testing.assert_allclose(nodes, mesh.vertices, rtol=0.0, atol=0.0)
     np.testing.assert_array_equal(elems, mesh.triangles)
+
+
+def coarse_p1_at(coarse_values, n_coarse, points):
+    """Evaluate a P1 function of grid n_coarse at points, triangle by triangle."""
+    scaled = points * n_coarse
+    cell = np.minimum(np.floor(scaled).astype(int), n_coarse - 1)
+    fx, fy = (scaled - cell).T
+    i, j = cell.T
+
+    def value(di, dj):
+        return coarse_values[(j + dj) * (n_coarse + 1) + i + di]
+
+    # the diagonal from (0,0) to (1,1) splits each cell; below it fx >= fy
+    lower = value(0, 0) + fx * (value(1, 0) - value(0, 0)) + fy * (value(1, 1) - value(1, 0))
+    upper = value(0, 0) + fx * (value(1, 1) - value(0, 1)) + fy * (value(0, 1) - value(0, 0))
+    return np.where(fx >= fy, lower, upper)
+
+
+@pytest.mark.parametrize("n_coarse", [1, 2, 3, 8])
+def test_prolongation_reproduces_linear_functions(n_coarse):
+    p = prolongation(n_coarse)
+    coarse = build_structured_unit_square(n_coarse).vertices
+    fine = build_structured_unit_square(2 * n_coarse).vertices
+    assert p.shape == (fine.shape[0], coarse.shape[0])
+    for a, b, c in [(1.0, 0.0, 0.0), (0.3, -2.0, 5.0), (-1.5, 4.0, 0.25)]:
+        np.testing.assert_allclose(p @ (a + b * coarse[:, 0] + c * coarse[:, 1]),
+                                   a + b * fine[:, 0] + c * fine[:, 1], rtol=0, atol=1e-14)
+    np.testing.assert_allclose(p.sum(axis=1), 1.0, rtol=0, atol=1e-15)
+    assert sorted(set(p.data)) == [0.5, 1.0]
+    assert np.diff(p.indptr).max() <= 2
+
+
+@pytest.mark.parametrize("n_coarse", [1, 3, 4])
+def test_prolongation_interpolates_coarse_hat_functions(n_coarse):
+    # a hat function is P1 only on the coarse triangles, so this pins the
+    # diagonal midpoints to the lower-left to upper-right split
+    p = prolongation(n_coarse)
+    fine = build_structured_unit_square(2 * n_coarse).vertices
+    for vertex in range((n_coarse + 1) ** 2):
+        hat = np.zeros((n_coarse + 1) ** 2)
+        hat[vertex] = 1.0
+        np.testing.assert_allclose(p @ hat, coarse_p1_at(hat, n_coarse, fine),
+                                   rtol=0, atol=1e-14)
+
+
+def test_prolongation_rejects_level_zero():
+    with pytest.raises(ValueError):
+        prolongation(0)
