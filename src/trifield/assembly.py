@@ -83,7 +83,6 @@ def assemble(
     nvert = mesh.num_vertices
     tri = mesh.triangles
     areas, grads = all_element_geometry(mesh)
-    verts = mesh.vertices[tri]  # (T, 3, 2)
 
     rule = triangle_quadrature(tri_degree)
     shp = rule.points                      # (q, 3) P1 values = barycentrics
@@ -146,9 +145,9 @@ def assemble(
     # loads
     f1 = np.zeros(nvert)
     lrule = triangle_quadrature(load_tri_degree)
-    xq = np.einsum("qa,tad->tqd", lrule.points, verts)   # (T, q, 2)
+    xq = lrule.points @ mesh.vertices[tri]               # (T, q, 2)
     f_vals = data.f(xq[..., 0], xq[..., 1])
-    f1_loc = scale[:, None] * np.einsum("q,tq,qa->ta", lrule.weights, f_vals, lrule.points)
+    f1_loc = scale[:, None] * ((f_vals * lrule.weights) @ lrule.points)
     np.add.at(f1, tri, f1_loc)
 
     lerule = edge_quadrature(load_edge_degree)

@@ -17,16 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse
 
 from .assembly import BlockSystem
-from .linsolve import (
-    CsrMatrix,
-    add_scaled,
-    dense_lu_solve,
-    sparse_triple_product,
-    spmv,
-    transpose,
-)
+from .linsolve import CsrMatrix, dense_lu_solve, spmv
 
 
 @dataclass(frozen=True)
@@ -55,28 +49,27 @@ def _dinv(blocks: BlockSystem) -> np.ndarray:
 
 
 def condense(blocks: BlockSystem, r: float, alpha: float) -> CondensedSystem:
-    """Eliminate the gradient and multiplier blocks into K x_u = F."""
+    """Eliminate the gradient and multiplier blocks into K x_u = F.
+
+    With G = B D^-1 A^T and H = B D^-1 M D^-1 B^T, K = (1-r) S + alpha C
+    - G - G^T + r H: B D^-1 is formed once, and K is canonicalised once.
+    """
     _check_r(r)
     dinv = _dinv(blocks)
 
-    a_d_bt = sparse_triple_product(blocks.A, dinv, blocks.B)
-    b_d_at = sparse_triple_product(blocks.B, dinv, blocks.A)
-    m_d_bt = sparse_triple_product(blocks.M, dinv, blocks.B)
-    b_d_m_d_bt = sparse_triple_product(blocks.B, dinv, transpose(m_d_bt))
+    b_dinv = blocks.B.to_scipy() @ scipy.sparse.diags(dinv)
+    g = b_dinv @ blocks.A.to_scipy().T
+    h = b_dinv @ blocks.M.to_scipy() @ b_dinv.T
+    k = (1.0 - r) * blocks.S.to_scipy() + alpha * blocks.C.to_scipy() - g - g.T + r * h
 
-    k = add_scaled(1.0 - r, blocks.S, alpha, blocks.C)
-    k = add_scaled(1.0, k, -1.0, a_d_bt)
-    k = add_scaled(1.0, k, -1.0, b_d_at)
-    k = add_scaled(1.0, k, r, b_d_m_d_bt)
-
-    f = blocks.f1 - spmv(blocks.B, dinv * blocks.f2)
-    return CondensedSystem(K=k, F=f, r=r, alpha=alpha)
+    f = blocks.f1 - b_dinv @ blocks.f2
+    return CondensedSystem(K=CsrMatrix.from_scipy(k), F=f, r=r, alpha=alpha)
 
 
 def recover_sigma(blocks: BlockSystem, x_u: np.ndarray) -> np.ndarray:
     """Projected gradient coefficients x_sigma = D^-1 B^T x_u."""
     dinv = _dinv(blocks)
-    return dinv * spmv(transpose(blocks.B), x_u)
+    return dinv * (blocks.B.to_scipy().T @ x_u)
 
 
 def recover_phi(
@@ -85,7 +78,7 @@ def recover_phi(
     """Multiplier coefficients making the second block equation exact."""
     dinv = _dinv(blocks)
     return dinv * (
-        spmv(transpose(blocks.A), x_u) - r * spmv(blocks.M, x_sigma) - blocks.f2
+        blocks.A.to_scipy().T @ x_u - r * spmv(blocks.M, x_sigma) - blocks.f2
     )
 
 

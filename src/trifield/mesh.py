@@ -12,6 +12,7 @@ interpolation between two nested levels.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +35,27 @@ class Mesh:
         for arr in (self.vertices, self.triangles, self.boundary_edges,
                     self.boundary_owner, self.boundary_normal, self.boundary_length):
             arr.flags.writeable = False
+
+    @cached_property
+    def _geometry(self) -> tuple[np.ndarray, np.ndarray]:
+        p = self.vertices[self.triangles]  # (T, 3, 2)
+        d1 = p[:, 1] - p[:, 0]
+        d2 = p[:, 2] - p[:, 0]
+        twice_area = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+        if np.any(twice_area <= 0.0):
+            raise ValueError("mesh contains a non-counterclockwise or degenerate triangle")
+
+        grads = np.empty((self.num_triangles, 3, 2))
+        # grad(lambda_a) = rot90(p_{a+2} - p_{a+1}) / (2 |T|)
+        for a in range(3):
+            e = p[:, (a + 2) % 3] - p[:, (a + 1) % 3]
+            grads[:, a, 0] = -e[:, 1]
+            grads[:, a, 1] = e[:, 0]
+        grads /= twice_area[:, None, None]
+        areas = 0.5 * twice_area
+        areas.flags.writeable = False
+        grads.flags.writeable = False
+        return areas, grads
 
     @property
     def num_vertices(self) -> int:
@@ -65,40 +87,29 @@ def build_structured_unit_square(n: int) -> Mesh:
     xv, yv = np.meshgrid(xs, xs, indexing="xy")
     vertices = np.column_stack([xv.ravel(), yv.ravel()])
 
-    def vid(i: int, j: int) -> int:
-        return j * (n + 1) + i
+    # cell c = j*n + i has lower-left vertex j*(n+1) + i and owns the
+    # lower-right triangle 2c and the upper-left triangle 2c + 1
+    j, i = np.divmod(np.arange(n * n, dtype=np.int64), n)
+    v00 = j * (n + 1) + i
+    v10, v01 = v00 + 1, v00 + n + 1
+    v11 = v01 + 1
+    triangles = np.column_stack([v00, v10, v11, v00, v11, v01]).reshape(-1, 3)
 
-    triangles = np.empty((2 * n * n, 3), dtype=np.int64)
-    t = 0
-    for j in range(n):
-        for i in range(n):
-            v00 = vid(i, j)
-            v10 = vid(i + 1, j)
-            v01 = vid(i, j + 1)
-            v11 = vid(i + 1, j + 1)
-            triangles[t] = (v00, v10, v11)      # lower-right triangle
-            triangles[t + 1] = (v00, v11, v01)  # upper-left triangle
-            t += 2
-
-    def lower_tri(i: int, j: int) -> int:
-        return 2 * (j * n + i)
-
-    def upper_tri(i: int, j: int) -> int:
-        return 2 * (j * n + i) + 1
-
-    edges = []
-    for i in range(n):  # bottom, y = 0
-        edges.append((vid(i, 0), vid(i + 1, 0), lower_tri(i, 0), (0.0, -1.0)))
-    for j in range(n):  # right, x = 1
-        edges.append((vid(n, j), vid(n, j + 1), lower_tri(n - 1, j), (1.0, 0.0)))
-    for i in range(n):  # top, y = 1
-        edges.append((vid(i, n), vid(i + 1, n), upper_tri(i, n - 1), (0.0, 1.0)))
-    for j in range(n):  # left, x = 0
-        edges.append((vid(0, j), vid(0, j + 1), upper_tri(0, j), (-1.0, 0.0)))
-
-    boundary_edges = np.array([(a, b) for a, b, _, _ in edges], dtype=np.int64)
-    boundary_owner = np.array([o for _, _, o, _ in edges], dtype=np.int64)
-    boundary_normal = np.array([nv for _, _, _, nv in edges], dtype=float)
+    # sides in the order bottom (y = 0), right (x = 1), top (y = 1), left
+    # (x = 0); edges run in the direction of increasing coordinate
+    k = np.arange(n, dtype=np.int64)
+    starts = np.concatenate([k, k * (n + 1) + n, n * (n + 1) + k, k * (n + 1)])
+    steps = np.repeat([1, n + 1, 1, n + 1], n)
+    boundary_edges = np.column_stack([starts, starts + steps])
+    boundary_owner = np.concatenate([
+        2 * k,                      # lower triangle of cell (k, 0)
+        2 * (k * n + n - 1),        # lower triangle of cell (n-1, k)
+        2 * ((n - 1) * n + k) + 1,  # upper triangle of cell (k, n-1)
+        2 * (k * n) + 1,            # upper triangle of cell (0, k)
+    ])
+    boundary_normal = np.repeat(
+        np.array([[0.0, -1.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]]), n, axis=0
+    )
     lengths = np.linalg.norm(
         vertices[boundary_edges[:, 1]] - vertices[boundary_edges[:, 0]], axis=1
     )
@@ -126,23 +137,11 @@ def all_element_geometry(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
     """Areas (T,) and barycentric gradients (T, 3, 2) for every triangle.
 
     grad_lambda[t, a] is the constant gradient of the barycentric
-    coordinate attached to local vertex a of triangle t.
+    coordinate attached to local vertex a of triangle t. Computed on the
+    first call and kept on the mesh; the arrays are read-only and every
+    later call returns the same objects.
     """
-    p = mesh.vertices[mesh.triangles]  # (T, 3, 2)
-    d1 = p[:, 1] - p[:, 0]
-    d2 = p[:, 2] - p[:, 0]
-    twice_area = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-    if np.any(twice_area <= 0.0):
-        raise ValueError("mesh contains a non-counterclockwise or degenerate triangle")
-
-    grads = np.empty((mesh.num_triangles, 3, 2))
-    # grad(lambda_a) = rot90(p_{a+2} - p_{a+1}) / (2 |T|)
-    for a in range(3):
-        e = p[:, (a + 2) % 3] - p[:, (a + 1) % 3]
-        grads[:, a, 0] = -e[:, 1]
-        grads[:, a, 1] = e[:, 0]
-    grads /= twice_area[:, None, None]
-    return 0.5 * twice_area, grads
+    return mesh._geometry
 
 
 def prolongation(n_coarse: int) -> scipy.sparse.csr_matrix:

@@ -10,7 +10,13 @@ from trifield.condense import (
     solve_full_saddle,
 )
 from trifield.femcore import DualBasis
-from trifield.linsolve import cg_solve, spmv, transpose
+from trifield.linsolve import (
+    add_scaled,
+    cg_solve,
+    spmv,
+    sparse_triple_product,
+    transpose,
+)
 from trifield.mesh import build_structured_unit_square
 from trifield.problems import example1, example2, linear_patch
 
@@ -53,6 +59,30 @@ def test_condensed_matrix_symmetry():
     k = condense(blocks, R, ALPHA).K.to_scipy()
     asym = scipy.sparse.linalg.norm(k - k.T, "fro") / scipy.sparse.linalg.norm(k, "fro")
     assert asym <= 1e-12
+
+
+def four_product_k(blocks, r, alpha):
+    """K from its four triple products, summed one canonical addition at a time."""
+    dinv = 1.0 / blocks.D
+    a_d_bt = sparse_triple_product(blocks.A, dinv, blocks.B)
+    b_d_at = sparse_triple_product(blocks.B, dinv, blocks.A)
+    m_d_bt = sparse_triple_product(blocks.M, dinv, blocks.B)
+    b_d_m_d_bt = sparse_triple_product(blocks.B, dinv, transpose(m_d_bt))
+    k = add_scaled(1.0 - r, blocks.S, alpha, blocks.C)
+    k = add_scaled(1.0, k, -1.0, a_d_bt)
+    k = add_scaled(1.0, k, -1.0, b_d_at)
+    return add_scaled(1.0, k, r, b_d_m_d_bt)
+
+
+@pytest.mark.parametrize("data", [example1(), example2()], ids=["ex1", "ex2"])
+def test_condensed_matrix_matches_four_product_formula(data):
+    blocks = assemble(build_structured_unit_square(8), data, ALPHA)
+    k = condense(blocks, R, ALPHA).K
+    want = four_product_k(blocks, R, ALPHA)
+    assert k.nnz == want.nnz
+    np.testing.assert_array_equal(k.offsets, want.offsets)
+    np.testing.assert_array_equal(k.indices, want.indices)
+    assert np.abs(k.values - want.values).max() <= 1e-13 * np.abs(want.values).max()
 
 
 def test_homogeneous_dirichlet_load_is_f1():

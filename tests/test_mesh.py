@@ -108,6 +108,79 @@ def test_barycentric_gradients_sum_to_zero(n):
     np.testing.assert_allclose(grads.sum(axis=1), 0.0, atol=1e-14)
 
 
+@pytest.mark.parametrize("n", [1, 3, 7])
+def test_element_geometry_is_row_of_all_element_geometry(n):
+    mesh = build_structured_unit_square(n)
+    areas, grads = all_element_geometry(mesh)
+    for t in sorted({0, 1, mesh.num_triangles // 2, mesh.num_triangles - 1}):
+        geom = element_geometry(mesh, t)
+        assert geom.area == areas[t]
+        np.testing.assert_array_equal(geom.grad_lambda, grads[t])
+
+
+def test_element_geometry_is_cached_and_read_only():
+    mesh = build_structured_unit_square(4)
+    areas, grads = all_element_geometry(mesh)
+    again = all_element_geometry(mesh)
+    assert again[0] is areas and again[1] is grads
+    assert element_geometry(mesh, 5).grad_lambda.base is grads
+    for arr in (areas, grads):
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+
+
+def test_degenerate_mesh_is_rejected_by_geometry():
+    mesh = Mesh(
+        vertices=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+        triangles=np.array([[0, 2, 1]]),  # clockwise
+        boundary_edges=np.empty((0, 2), dtype=np.int64),
+        boundary_owner=np.empty(0, dtype=np.int64),
+        boundary_normal=np.empty((0, 2)),
+        boundary_length=np.empty(0),
+        level=0,
+    )
+    for _ in range(2):  # a failed computation is not cached
+        with pytest.raises(ValueError):
+            all_element_geometry(mesh)
+
+
+def loop_built_square(n):
+    """Triangles and boundary data of grid n, built cell by cell and side by side."""
+    def vid(i, j):
+        return j * (n + 1) + i
+
+    triangles = []
+    for j in range(n):
+        for i in range(n):
+            triangles.append((vid(i, j), vid(i + 1, j), vid(i + 1, j + 1)))
+            triangles.append((vid(i, j), vid(i + 1, j + 1), vid(i, j + 1)))
+    edges = []
+    for i in range(n):  # bottom, y = 0
+        edges.append((vid(i, 0), vid(i + 1, 0), 2 * i, (0.0, -1.0)))
+    for j in range(n):  # right, x = 1
+        edges.append((vid(n, j), vid(n, j + 1), 2 * (j * n + n - 1), (1.0, 0.0)))
+    for i in range(n):  # top, y = 1
+        edges.append((vid(i, n), vid(i + 1, n), 2 * ((n - 1) * n + i) + 1, (0.0, 1.0)))
+    for j in range(n):  # left, x = 0
+        edges.append((vid(0, j), vid(0, j + 1), 2 * j * n + 1, (-1.0, 0.0)))
+    return {
+        "triangles": np.array(triangles, dtype=np.int64),
+        "boundary_edges": np.array([e[:2] for e in edges], dtype=np.int64),
+        "boundary_owner": np.array([e[2] for e in edges], dtype=np.int64),
+        "boundary_normal": np.array([e[3] for e in edges], dtype=float),
+    }
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_numbering_matches_loop_built_reference(n):
+    # prolongation, multigrid and exported meshes rely on this numbering
+    mesh = build_structured_unit_square(n)
+    for name, want in loop_built_square(n).items():
+        got = getattr(mesh, name)
+        assert got.dtype == want.dtype, name
+        np.testing.assert_array_equal(got, want, err_msg=name)
+
+
 def test_element_geometry_rejects_bad_index():
     mesh = build_structured_unit_square(2)
     with pytest.raises(IndexError):
