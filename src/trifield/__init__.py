@@ -26,7 +26,7 @@ from .femcore import (
     p1_shape,
     triangle_quadrature,
 )
-from .linsolve import CsrMatrix, SolveReport, cg_solve, dense_lu_solve
+from .linsolve import SolveReport, cg_solve, dense_lu_solve
 from .mesh import ElementGeometry, Mesh, build_structured_unit_square, element_geometry
 from .problems import ExampleId, ProblemData, example1, example2, linear_patch
 from .cli import StudyConfig, StudyResult, run_oracle_check, run_study
@@ -36,7 +36,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BlockSystem",
     "CondensedSystem",
-    "CsrMatrix",
     "DualBasis",
     "ElementGeometry",
     "ErrorTable",

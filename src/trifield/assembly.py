@@ -23,7 +23,7 @@ import numpy as np
 import scipy.sparse
 
 from .femcore import DualBasis, edge_quadrature, triangle_quadrature
-from .linsolve import CsrMatrix
+from .linsolve import canonical
 from .mesh import Mesh, all_element_geometry
 from .problems import ProblemData
 
@@ -32,15 +32,15 @@ from .problems import ProblemData
 class BlockSystem:
     """Assembled matrices and loads of the three-field formulation."""
 
-    S: CsrMatrix      # N x N stiffness
-    M: CsrMatrix      # 2N x 2N vector mass (block-diagonal)
-    D: np.ndarray     # 2N diagonal of the biorthogonal pairing
-    A: CsrMatrix      # N x 2N Nitsche boundary coupling
-    B: CsrMatrix      # N x 2N gradient-multiplier coupling
-    C: CsrMatrix      # N x N boundary penalty
-    f1: np.ndarray    # length N
-    f2: np.ndarray    # length 2N
-    n_primal: int     # number of scalar (vertex) dofs
+    S: scipy.sparse.csr_array  # N x N stiffness
+    M: scipy.sparse.csr_array  # 2N x 2N vector mass (block-diagonal)
+    D: np.ndarray              # 2N diagonal of the biorthogonal pairing
+    A: scipy.sparse.csr_array  # N x 2N Nitsche boundary coupling
+    B: scipy.sparse.csr_array  # N x 2N gradient-multiplier coupling
+    C: scipy.sparse.csr_array  # N x N boundary penalty
+    f1: np.ndarray             # length N
+    f2: np.ndarray             # length 2N
+    n_primal: int              # number of scalar (vertex) dofs
     alpha: float
 
     def __post_init__(self):
@@ -104,8 +104,8 @@ def assemble(
     b_loc = np.einsum("tac,tb->tcab", grads, mu_moment)  # (T, 2, 3, 3)
 
     rows, cols = _element_triplet_pattern(tri)
-    s_mat = scipy.sparse.coo_matrix((s_loc.ravel(), (rows, cols)), shape=(nvert, nvert))
-    m_scalar = scipy.sparse.coo_matrix((m_loc.ravel(), (rows, cols)), shape=(nvert, nvert))
+    s_mat = scipy.sparse.coo_array((s_loc.ravel(), (rows, cols)), shape=(nvert, nvert))
+    m_scalar = scipy.sparse.coo_array((m_loc.ravel(), (rows, cols)), shape=(nvert, nvert))
     m_mat = scipy.sparse.block_diag((m_scalar, m_scalar))
 
     d_diag = np.zeros(nvert)
@@ -114,7 +114,7 @@ def assemble(
     b_rows = np.concatenate([rows, rows])
     b_cols = np.concatenate([cols, nvert + cols])
     b_vals = np.concatenate([b_loc[:, 0].ravel(), b_loc[:, 1].ravel()])
-    b_mat = scipy.sparse.coo_matrix((b_vals, (b_rows, b_cols)), shape=(nvert, 2 * nvert))
+    b_mat = scipy.sparse.coo_array((b_vals, (b_rows, b_cols)), shape=(nvert, 2 * nvert))
 
     # boundary terms
     erule = edge_quadrature(edge_degree)
@@ -130,7 +130,7 @@ def assemble(
 
     # penalty: the 1/h_e weight cancels the h_e of the edge measure
     c_vals = (edge_pairings / h_e[:, None]).ravel()
-    c_mat = scipy.sparse.coo_matrix((c_vals, (e_rows, e_cols)), shape=(nvert, nvert))
+    c_mat = scipy.sparse.coo_array((c_vals, (e_rows, e_cols)), shape=(nvert, nvert))
 
     a_rows = np.concatenate([e_rows, e_rows])
     a_cols = np.concatenate([e_cols, nvert + e_cols])
@@ -140,7 +140,7 @@ def assemble(
             (normals[:, 1:2] * edge_pairings).ravel(),
         ]
     )
-    a_mat = scipy.sparse.coo_matrix((a_vals, (a_rows, a_cols)), shape=(nvert, 2 * nvert))
+    a_mat = scipy.sparse.coo_array((a_vals, (a_rows, a_cols)), shape=(nvert, 2 * nvert))
 
     # loads
     f1 = np.zeros(nvert)
@@ -167,12 +167,12 @@ def assemble(
     np.add.at(f2, nvert + bedges, normals[:, 1:2] * flux_data)
 
     return BlockSystem(
-        S=CsrMatrix.from_scipy(s_mat),
-        M=CsrMatrix.from_scipy(m_mat),
+        S=canonical(s_mat),
+        M=canonical(m_mat),
         D=np.concatenate([d_diag, d_diag]),
-        A=CsrMatrix.from_scipy(a_mat),
-        B=CsrMatrix.from_scipy(b_mat),
-        C=CsrMatrix.from_scipy(c_mat),
+        A=canonical(a_mat),
+        B=canonical(b_mat),
+        C=canonical(c_mat),
         f1=f1,
         f2=f2,
         n_primal=nvert,
@@ -202,7 +202,7 @@ def assemble_penalty_norm_product(
 
 def dual_pairing_matrix(
     mesh: Mesh, dual: DualBasis | None = None, tri_degree: int = 2
-) -> CsrMatrix:
+) -> scipy.sparse.csr_array:
     """Full pairing matrix int_Omega rho_i mu_j dx, for biorthogonality checks.
 
     Off-diagonal entries vanish analytically; assembling all nine local
@@ -217,4 +217,5 @@ def dual_pairing_matrix(
         "q,qa,qb->ab", rule.weights, rule.points, mu
     )
     rows, cols = _element_triplet_pattern(mesh.triangles)
-    return CsrMatrix.from_triplets(rows, cols, loc.ravel(), (nvert, nvert))
+    pairing = scipy.sparse.coo_array((loc.ravel(), (rows, cols)), shape=(nvert, nvert))
+    return canonical(pairing)

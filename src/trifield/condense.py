@@ -20,14 +20,14 @@ import numpy as np
 import scipy.sparse
 
 from .assembly import BlockSystem
-from .linsolve import CsrMatrix, dense_lu_solve, spmv
+from .linsolve import canonical, dense_lu_solve
 
 
 @dataclass(frozen=True)
 class CondensedSystem:
     """Sparse primal system K x_u = F with its stabilisation parameters."""
 
-    K: CsrMatrix
+    K: scipy.sparse.csr_array
     F: np.ndarray
     r: float
     alpha: float
@@ -57,19 +57,19 @@ def condense(blocks: BlockSystem, r: float, alpha: float) -> CondensedSystem:
     _check_r(r)
     dinv = _dinv(blocks)
 
-    b_dinv = blocks.B.to_scipy() @ scipy.sparse.diags(dinv)
-    g = b_dinv @ blocks.A.to_scipy().T
-    h = b_dinv @ blocks.M.to_scipy() @ b_dinv.T
-    k = (1.0 - r) * blocks.S.to_scipy() + alpha * blocks.C.to_scipy() - g - g.T + r * h
+    b_dinv = blocks.B @ scipy.sparse.diags_array(dinv)
+    g = b_dinv @ blocks.A.T
+    h = b_dinv @ blocks.M @ b_dinv.T
+    k = (1.0 - r) * blocks.S + alpha * blocks.C - g - g.T + r * h
 
     f = blocks.f1 - b_dinv @ blocks.f2
-    return CondensedSystem(K=CsrMatrix.from_scipy(k), F=f, r=r, alpha=alpha)
+    return CondensedSystem(K=canonical(k), F=f, r=r, alpha=alpha)
 
 
 def recover_sigma(blocks: BlockSystem, x_u: np.ndarray) -> np.ndarray:
     """Projected gradient coefficients x_sigma = D^-1 B^T x_u."""
     dinv = _dinv(blocks)
-    return dinv * (blocks.B.to_scipy().T @ x_u)
+    return dinv * (blocks.B.T @ x_u)
 
 
 def recover_phi(
@@ -77,9 +77,7 @@ def recover_phi(
 ) -> np.ndarray:
     """Multiplier coefficients making the second block equation exact."""
     dinv = _dinv(blocks)
-    return dinv * (
-        blocks.A.to_scipy().T @ x_u - r * spmv(blocks.M, x_sigma) - blocks.f2
-    )
+    return dinv * (blocks.A.T @ x_u - r * (blocks.M @ x_sigma) - blocks.f2)
 
 
 #: dense oracle refuses systems larger than this (5N unknowns)
@@ -100,11 +98,11 @@ def solve_full_saddle(
             f"full saddle solve is a desk-scale oracle (5N = {5 * n} > {_FULL_SOLVE_LIMIT})"
         )
 
-    s = blocks.S.to_dense()
-    m = blocks.M.to_dense()
-    a = blocks.A.to_dense()
-    b = blocks.B.to_dense()
-    c = blocks.C.to_dense()
+    s = blocks.S.toarray()
+    m = blocks.M.toarray()
+    a = blocks.A.toarray()
+    b = blocks.B.toarray()
+    c = blocks.C.toarray()
     d = np.diag(blocks.D)
     zero = np.zeros((2 * n, 2 * n))
 

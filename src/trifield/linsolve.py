@@ -1,12 +1,14 @@
-"""Compressed-row sparse matrices and the linear solvers used by the pipeline.
+"""Canonical sparse matrices and the linear solvers used by the pipeline.
 
-CsrMatrix is a thin immutable wrapper over the canonical CSR triple
-(offsets, column indices, values); scipy.sparse does the heavy lifting
-behind the module surface. The conjugate-gradient solver is written out
-explicitly because it must report iteration counts and detect negative
-curvature (an indefinite operator signals invalid stabilisation or
-penalty parameters). It is preconditioned by Jacobi or by a geometric
-multigrid V-cycle on nested meshes.
+Every sparse matrix the pipeline stores (the assembled blocks and the
+condensed K) is a `scipy.sparse.csr_array` that has passed through
+`canonical()`: duplicates summed, stored zeros dropped, column indices
+sorted and its arrays read-only. Everything else is plain scipy. The
+conjugate-gradient solver is written out explicitly because it must
+report iteration counts and detect negative curvature (an indefinite
+operator signals invalid stabilisation or penalty parameters). It is
+preconditioned by Jacobi or by a geometric multigrid V-cycle on nested
+meshes.
 """
 
 from __future__ import annotations
@@ -27,66 +29,27 @@ class SingularMatrixError(RuntimeError):
     """Raised when a direct factorisation meets a negligible pivot."""
 
 
-@dataclass(frozen=True)
-class CsrMatrix:
-    """Sparse matrix in compressed-row form.
+def canonical(mat) -> scipy.sparse.csr_array:
+    """A canonical, read-only CSR copy of a sparse (or dense) matrix.
 
-    Invariants: offsets nondecreasing with offsets[-1] == nnz, column
-    indices strictly increasing within each row, and no explicitly
-    stored zeros.
+    Duplicates are summed, explicitly stored zeros dropped and column
+    indices sorted within each row, so nnz counts true nonzeros. The
+    caller's arrays are copied, never mutated or frozen. Indices are
+    32-bit wherever they fit, as scipy's sparse matrices pick them:
+    sparse arrays keep the 64-bit indices of the mesh's triangles, which
+    would widen every product and SpMV built on the blocks.
     """
-
-    offsets: np.ndarray  # (rows + 1,) int
-    indices: np.ndarray  # (nnz,) int
-    values: np.ndarray   # (nnz,) float
-    shape: tuple[int, int]
-
-    def __post_init__(self):
-        self.offsets.flags.writeable = False
-        self.indices.flags.writeable = False
-        self.values.flags.writeable = False
-
-    @property
-    def nnz(self) -> int:
-        return int(self.offsets[-1])
-
-    @classmethod
-    def from_scipy(cls, mat) -> CsrMatrix:
-        # copy so canonicalisation never mutates (or freezes) caller arrays
-        mat = scipy.sparse.csr_matrix(mat, copy=True)
-        mat.sum_duplicates()
-        mat.eliminate_zeros()
-        mat.sort_indices()
-        return cls(
-            offsets=mat.indptr.astype(np.int64),
-            indices=mat.indices.astype(np.int64),
-            values=mat.data.astype(float),
-            shape=mat.shape,
-        )
-
-    @classmethod
-    def from_triplets(cls, rows, cols, vals, shape: tuple[int, int]) -> CsrMatrix:
-        coo = scipy.sparse.coo_matrix((vals, (rows, cols)), shape=shape)
-        return cls.from_scipy(coo)
-
-    @classmethod
-    def from_dense(cls, arr: np.ndarray) -> CsrMatrix:
-        return cls.from_scipy(scipy.sparse.csr_matrix(np.asarray(arr, dtype=float)))
-
-    @classmethod
-    def identity(cls, n: int) -> CsrMatrix:
-        return cls.from_scipy(scipy.sparse.identity(n, format="csr"))
-
-    def to_scipy(self) -> scipy.sparse.csr_matrix:
-        return scipy.sparse.csr_matrix(
-            (self.values, self.indices, self.offsets), shape=self.shape
-        )
-
-    def to_dense(self) -> np.ndarray:
-        return self.to_scipy().toarray()
-
-    def diagonal(self) -> np.ndarray:
-        return self.to_scipy().diagonal()
+    out = scipy.sparse.csr_array(mat, copy=True)
+    try:
+        out.indices, out.indptr = scipy.sparse.safely_cast_index_arrays(out, np.int32)
+    except ValueError:  # too large for 32-bit indices
+        pass
+    out.sum_duplicates()
+    out.eliminate_zeros()
+    out.sort_indices()
+    for arr in (out.data, out.indices, out.indptr):
+        arr.flags.writeable = False
+    return out
 
 
 @dataclass(frozen=True)
@@ -102,38 +65,8 @@ class SolveReport:
     mg_levels: int = 0  # levels of the multigrid hierarchy; 0 without one
 
 
-def spmv(a: CsrMatrix, x: np.ndarray) -> np.ndarray:
-    """Sparse matrix-vector product a @ x."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (a.shape[1],):
-        raise ValueError(f"shape mismatch: {a.shape} @ {x.shape}")
-    return a.to_scipy() @ x
-
-
-def transpose(a: CsrMatrix) -> CsrMatrix:
-    return CsrMatrix.from_scipy(a.to_scipy().T)
-
-
-def sparse_triple_product(a: CsrMatrix, dinv: np.ndarray, b: CsrMatrix) -> CsrMatrix:
-    """Compute a @ diag(dinv) @ b.T as a sparse matrix."""
-    dinv = np.asarray(dinv, dtype=float)
-    if a.shape[1] != dinv.shape[0] or b.shape[1] != dinv.shape[0]:
-        raise ValueError(
-            f"shape mismatch in triple product: {a.shape}, diag {dinv.shape}, {b.shape}"
-        )
-    scaled = a.to_scipy() @ scipy.sparse.diags(dinv)
-    return CsrMatrix.from_scipy(scaled @ b.to_scipy().T)
-
-
-def add_scaled(alpha: float, a: CsrMatrix, beta: float, b: CsrMatrix) -> CsrMatrix:
-    """Compute alpha * a + beta * b."""
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} + {b.shape}")
-    return CsrMatrix.from_scipy(alpha * a.to_scipy() + beta * b.to_scipy())
-
-
 def cg_solve(
-    a: CsrMatrix,
+    a: scipy.sparse.csr_array,
     b: np.ndarray,
     tol: float = 1e-12,
     maxit: int = 20000,
@@ -144,7 +77,9 @@ def cg_solve(
     `precond` maps a residual r to z = M^-1 r for an SPD M; None uses
     Jacobi, M = diag(a), and names it in the report. A caller passing its
     own preconditioner names it there (see `cli.solve_level`), and times
-    its set-up. Converged means ||b - a x|| / ||b|| <= tol.
+    its set-up. Converged means ||b - a x|| / ||b|| <= tol. Raises
+    ValueError, before any work, unless a is square and b has one finite
+    entry per row.
     Returns early with indefinite=True if a search direction has
     non-positive curvature or a residual has r.z <= 0, which an SPD
     operator with an SPD preconditioner never gives.
@@ -152,13 +87,15 @@ def cg_solve(
     if not 0.0 < tol < 1.0:
         raise ValueError(f"tolerance must be in (0, 1), got {tol}")
     b = np.asarray(b, dtype=float)
+    n = a.shape[0]
+    if a.shape != (n, n) or b.shape != (n,):
+        raise ValueError(f"shape mismatch: matrix {a.shape} with right-hand side {b.shape}")
     if not np.all(np.isfinite(b)):
         raise ValueError("right-hand side has non-finite entries")
-    mat = a.to_scipy()
     t0 = time.perf_counter()
     label = "jacobi" if precond is None else None
     if precond is None:
-        diag = mat.diagonal()
+        diag = a.diagonal()
         inv_diag = 1.0 / np.where(diag > 0.0, diag, 1.0)  # skip non-positive entries
 
         def precond(res):
@@ -183,7 +120,7 @@ def cg_solve(
             return x, report(iterations, np.linalg.norm(r) / norm_b, False, True)
         p = z.copy() if p is None else z + (rz / rz_prev) * p
         iterations += 1
-        ap = mat @ p
+        ap = a @ p
         curvature = p @ ap
         if curvature <= 0.0:
             return x, report(iterations, np.linalg.norm(r) / norm_b, False, True)
@@ -195,13 +132,13 @@ def cg_solve(
             # the recurrence residual can drift from the true one near
             # machine precision; only the true residual decides, and a
             # residual replacement restarts the search if it disagrees
-            true_r = b - mat @ x
+            true_r = b - a @ x
             if np.linalg.norm(true_r) <= tol * norm_b:
                 break
             r = true_r
             p = None
 
-    rel = float(np.linalg.norm(b - mat @ x) / norm_b)
+    rel = float(np.linalg.norm(b - a @ x) / norm_b)
     return x, report(iterations, rel, rel <= tol)
 
 
@@ -244,7 +181,7 @@ class MultigridPreconditioner:
 
 
 def multigrid_preconditioner(
-    k: CsrMatrix, prolongations: Sequence[scipy.sparse.spmatrix]
+    k: scipy.sparse.csr_array, prolongations: Sequence[scipy.sparse.csr_array]
 ) -> MultigridPreconditioner:
     """Set up a V-cycle preconditioner for K from nested prolongations.
 
@@ -252,8 +189,7 @@ def multigrid_preconditioner(
     first (see `mesh.prolongation`). Raises IndefiniteOperatorError if the
     coarsest Galerkin operator has no Cholesky factor, i.e. K is not SPD.
     """
-    operators = [k.to_scipy()]
-    prolongations = [scipy.sparse.csr_matrix(p) for p in prolongations]
+    operators = [k]
     restrictions = []
     for p in prolongations:
         if p.shape[0] != operators[-1].shape[0]:
@@ -297,13 +233,13 @@ def dense_lu_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return scipy.linalg.lu_solve((lu, piv), b)
 
 
-def write_matrix_market(a: CsrMatrix, path: str | Path, symmetric: bool = False) -> Path:
-    """Write a CsrMatrix in MatrixMarket coordinate/real format."""
+def write_matrix_market(
+    a: scipy.sparse.csr_array, path: str | Path, symmetric: bool = False
+) -> Path:
+    """Write a sparse matrix in MatrixMarket coordinate/real format."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     symmetry = "symmetric" if symmetric else "general"
-    mat = a.to_scipy()
-    if symmetric:
-        mat = scipy.sparse.tril(mat)
+    mat = scipy.sparse.tril(a) if symmetric else a
     scipy.io.mmwrite(str(path), mat, field="real", symmetry=symmetry)
     return path

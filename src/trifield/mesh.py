@@ -144,7 +144,7 @@ def all_element_geometry(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
     return mesh._geometry
 
 
-def prolongation(n_coarse: int) -> scipy.sparse.csr_matrix:
+def prolongation(n_coarse: int) -> scipy.sparse.csr_array:
     """P1 interpolation from grid n_coarse to grid 2 n_coarse, as a sparse matrix.
 
     Every coarse triangle is the union of four fine ones, so a coarse P1
@@ -165,7 +165,7 @@ def prolongation(n_coarse: int) -> scipy.sparse.csr_matrix:
     lower = (j // 2) * (n_coarse + 1) + i // 2
     upper = ((j + 1) // 2) * (n_coarse + 1) + (i + 1) // 2
     fine = np.arange((n + 1) ** 2)
-    coo = scipy.sparse.coo_matrix(
+    coo = scipy.sparse.coo_array(
         (np.full(2 * fine.size, 0.5), (np.concatenate([fine, fine]),
                                        np.concatenate([lower, upper]))),
         shape=((n + 1) ** 2, (n_coarse + 1) ** 2),

@@ -135,37 +135,37 @@ def test_matrix_form_agreement(system_n3):
         xv = rng.standard_normal(2 * nvert)
         yv = rng.standard_normal(2 * nvert)
 
-        _close(x @ blocks.S.to_scipy() @ y, eval_grad_grad(mesh, x, y))
-        _close(xv @ blocks.M.to_scipy() @ yv, eval_vector_mass(mesh, xv, yv))
+        _close(x @ blocks.S @ y, eval_grad_grad(mesh, x, y))
+        _close(xv @ blocks.M @ yv, eval_vector_mass(mesh, xv, yv))
         _close(xv @ (blocks.D * yv), eval_dual_vector_pairing(mesh, xv, yv))
-        _close(x @ blocks.A.to_scipy() @ xv, eval_boundary_flux(mesh, xv, x))
-        _close(x @ blocks.B.to_scipy() @ yv, eval_grad_dual(mesh, x, yv))
-        _close(x @ blocks.C.to_scipy() @ y, eval_penalty(mesh, x, y))
+        _close(x @ blocks.A @ xv, eval_boundary_flux(mesh, xv, x))
+        _close(x @ blocks.B @ yv, eval_grad_dual(mesh, x, yv))
+        _close(x @ blocks.C @ y, eval_penalty(mesh, x, y))
 
 
 def test_symmetry_and_row_sums(system_n3):
     _, blocks = system_n3
     for mat in (blocks.S, blocks.M, blocks.C):
-        dense = mat.to_dense()
+        dense = mat.toarray()
         scale = np.abs(dense).max()
         assert np.abs(dense - dense.T).max() <= 1e-13 * scale
-    assert np.abs(blocks.S.to_scipy().sum(axis=1)).max() < 1e-12
+    assert np.abs(blocks.S.sum(axis=1)).max() < 1e-12
 
 
 def test_stiffness_and_mass_positive_semidefinite(system_n3):
     _, blocks = system_n3
     for mat in (blocks.S, blocks.M):
-        eigs = np.linalg.eigvalsh(mat.to_dense())
+        eigs = np.linalg.eigvalsh(mat.toarray())
         assert eigs.min() >= -1e-12 * max(1.0, eigs.max())
 
 
 def test_boundary_structure(system_n3):
     mesh, blocks = system_n3
     interior = ~boundary_vertex_mask(mesh)
-    c_dense = blocks.C.to_dense()
+    c_dense = blocks.C.toarray()
     assert np.all(c_dense[interior, :] == 0.0)
     assert np.all(c_dense[:, interior] == 0.0)
-    a_dense = blocks.A.to_dense()
+    a_dense = blocks.A.toarray()
     assert np.all(a_dense[interior, :] == 0.0)
 
 
@@ -185,7 +185,7 @@ def test_dual_pairing_diagonal_value(system_n3):
 @pytest.mark.parametrize("n", [2, 8])
 def test_biorthogonality_of_assembled_pairing(n):
     mesh = build_structured_unit_square(n)
-    pairing = dual_pairing_matrix(mesh).to_dense()
+    pairing = dual_pairing_matrix(mesh).toarray()
     diag = np.diag(pairing).copy()
     off = pairing - np.diag(diag)
     assert np.abs(off).max() <= 1e-13
@@ -199,8 +199,8 @@ def test_biorthogonality_of_assembled_pairing(n):
 
 def test_scaled_dual_basis_scales_pairing():
     mesh = build_structured_unit_square(2)
-    base = dual_pairing_matrix(mesh).to_dense()
-    scaled = dual_pairing_matrix(mesh, dual=DualBasis().scaled(7.0)).to_dense()
+    base = dual_pairing_matrix(mesh).toarray()
+    scaled = dual_pairing_matrix(mesh, dual=DualBasis().scaled(7.0)).toarray()
     np.testing.assert_allclose(scaled, 7.0 * base, rtol=1e-14)
 
 
@@ -232,7 +232,7 @@ def test_penalty_norm_product_matches_matrix(system_n3):
         u = rng.standard_normal(mesh.num_vertices)
         v = rng.standard_normal(mesh.num_vertices)
         got = assemble_penalty_norm_product(mesh, u, v)
-        want = u @ blocks.C.to_scipy() @ v
+        want = u @ blocks.C @ v
         assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
 
 
@@ -249,7 +249,7 @@ def test_constant_flux_closed_boundary_identity(system_n3):
     nvert = mesh.num_vertices
     sigma = np.concatenate([np.ones(nvert), np.zeros(nvert)])
     ones = np.ones(nvert)
-    assert abs(ones @ blocks.A.to_scipy() @ sigma) <= 1e-12
+    assert abs(ones @ blocks.A @ sigma) <= 1e-12
 
 
 def test_assemble_rejects_negative_alpha():

@@ -3,16 +3,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.io
+import scipy.sparse
 
 from trifield.linsolve import (
-    CsrMatrix,
     SingularMatrixError,
-    add_scaled,
+    canonical,
     cg_solve,
     dense_lu_solve,
-    sparse_triple_product,
-    spmv,
-    transpose,
     write_matrix_market,
 )
 
@@ -20,7 +17,11 @@ from trifield.linsolve import (
 def random_sparse(rng, rows, cols, density=0.4):
     dense = rng.standard_normal((rows, cols))
     dense[rng.random((rows, cols)) > density] = 0.0
-    return CsrMatrix.from_dense(dense), dense
+    return scipy.sparse.csr_array(dense), dense
+
+
+def eye(n):
+    return scipy.sparse.eye_array(n, format="csr")
 
 
 def test_from_triplets_canonicalises():
@@ -28,79 +29,40 @@ def test_from_triplets_canonicalises():
     rows = [0, 0, 0, 1, 1]
     cols = [2, 2, 0, 1, 1]
     vals = [1.0, 2.0, 4.0, 5.0, -5.0]
-    mat = CsrMatrix.from_triplets(rows, cols, vals, (2, 3))
+    coords = (np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64))
+    mat = canonical(scipy.sparse.coo_array((vals, coords), shape=(2, 3)))
+    assert isinstance(mat, scipy.sparse.csr_array)
+    assert mat.indices.dtype == mat.indptr.dtype == np.int32
     assert mat.nnz == 2
-    np.testing.assert_array_equal(mat.offsets, [0, 2, 2])
+    np.testing.assert_array_equal(mat.indptr, [0, 2, 2])
     np.testing.assert_array_equal(mat.indices, [0, 2])
-    np.testing.assert_allclose(mat.values, [4.0, 3.0])
-    assert np.all(np.diff(mat.offsets) >= 0)
+    np.testing.assert_allclose(mat.data, [4.0, 3.0])
+    assert np.all(np.diff(mat.indptr) >= 0)
+    for arr in (mat.data, mat.indices, mat.indptr):
+        assert not arr.flags.writeable
 
 
-def test_spmv_identity_and_shapes():
-    eye = CsrMatrix.identity(5)
-    x = np.arange(5.0)
-    np.testing.assert_array_equal(spmv(eye, x), x)
-    with pytest.raises(ValueError):
-        spmv(eye, np.ones(4))
-
-
-def test_spmv_matches_dense_oracle():
-    rng = np.random.default_rng(42)
-    mat, dense = random_sparse(rng, 6, 6)
-    x = rng.standard_normal(6)
-    np.testing.assert_allclose(spmv(mat, x), dense @ x, atol=1e-13)
-
-
-def test_transpose_adjointness():
-    rng = np.random.default_rng(1)
-    mat, dense = random_sparse(rng, 7, 5)
-    mat_t = transpose(mat)
-    np.testing.assert_allclose(mat_t.to_dense(), dense.T, atol=0.0)
-    for _ in range(10):
-        x = rng.standard_normal(5)
-        y = rng.standard_normal(7)
-        assert abs(spmv(mat, x) @ y - x @ spmv(mat_t, y)) < 1e-13
-
-
-def test_triple_product_identity():
-    eye = CsrMatrix.identity(4)
-    out = sparse_triple_product(eye, np.ones(4), eye)
-    np.testing.assert_allclose(out.to_dense(), np.eye(4), atol=0.0)
-
-
-def test_triple_product_matches_dense_oracle():
-    rng = np.random.default_rng(5)
-    a, a_dense = random_sparse(rng, 6, 8)
-    b, b_dense = random_sparse(rng, 6, 8)
-    dinv = rng.random(8) + 0.5
-    out = sparse_triple_product(a, dinv, b)
-    np.testing.assert_allclose(out.to_dense(), a_dense @ np.diag(dinv) @ b_dense.T,
-                               atol=1e-13)
-    with pytest.raises(ValueError):
-        sparse_triple_product(a, np.ones(5), b)
-
-
-def test_add_scaled_matches_dense():
-    rng = np.random.default_rng(9)
-    a, a_dense = random_sparse(rng, 5, 5)
-    b, b_dense = random_sparse(rng, 5, 5)
-    out = add_scaled(2.0, a, -0.5, b)
-    np.testing.assert_allclose(out.to_dense(), 2.0 * a_dense - 0.5 * b_dense, atol=1e-14)
-    with pytest.raises(ValueError):
-        add_scaled(1.0, a, 1.0, CsrMatrix.identity(4))
+def test_from_scipy_does_not_freeze_caller_arrays():
+    # the caller's buffers are copied, so they stay writable and untouched
+    original = scipy.sparse.random(5, 5, density=0.5, format="csr",
+                                   random_state=np.random.default_rng(4))
+    before = original.toarray()
+    out = canonical(original)
+    assert original.indices.flags.writeable and original.indptr.flags.writeable
+    original.data[:] = 0.0
+    np.testing.assert_array_equal(out.toarray(), before)
 
 
 def test_cg_identity_converges_immediately():
-    eye = CsrMatrix.identity(6)
     b = np.arange(1.0, 7.0)
-    x, report = cg_solve(eye, b, tol=1e-12)
+    x, report = cg_solve(eye(6), b, tol=1e-12)
     np.testing.assert_allclose(x, b, atol=1e-14)
     assert report.converged
     assert report.iterations == 1
 
 
 def test_cg_two_by_two_hand_oracle():
-    mat = CsrMatrix.from_dense(np.array([[4.0, 1.0], [1.0, 3.0]]))
+    mat = scipy.sparse.csr_array(np.array([[4.0, 1.0], [1.0, 3.0]]))
     x, report = cg_solve(mat, np.array([1.0, 2.0]), tol=1e-14)
     np.testing.assert_allclose(x, [1.0 / 11.0, 7.0 / 11.0], atol=1e-13)
     assert report.converged
@@ -108,7 +70,7 @@ def test_cg_two_by_two_hand_oracle():
 
 
 def test_cg_zero_rhs():
-    mat = CsrMatrix.identity(3)
+    mat = eye(3)
     x, report = cg_solve(mat, np.zeros(3))
     np.testing.assert_array_equal(x, 0.0)
     assert report.converged and report.iterations == 0
@@ -118,7 +80,7 @@ def test_cg_random_spd():
     rng = np.random.default_rng(12)
     root = rng.standard_normal((20, 20))
     spd = root @ root.T + 20.0 * np.eye(20)
-    mat = CsrMatrix.from_dense(spd)
+    mat = scipy.sparse.csr_array(spd)
     b = rng.standard_normal(20)
     x, report = cg_solve(mat, b, tol=1e-12)
     assert report.converged
@@ -131,7 +93,7 @@ def test_cg_energy_error_is_monotone():
     rng = np.random.default_rng(17)
     root = rng.standard_normal((15, 15))
     spd = root @ root.T + 5.0 * np.eye(15)
-    mat = CsrMatrix.from_dense(spd)
+    mat = scipy.sparse.csr_array(spd)
     x_star = rng.standard_normal(15)
     b = spd @ x_star
 
@@ -146,7 +108,7 @@ def test_cg_energy_error_is_monotone():
 
 
 def test_cg_detects_negative_curvature():
-    mat = CsrMatrix.from_dense(np.diag([1.0, -1.0]))
+    mat = scipy.sparse.csr_array(np.diag([1.0, -1.0]))
     _, report = cg_solve(mat, np.array([0.0, 1.0]), tol=1e-12, maxit=10)
     assert not report.converged
     assert report.indefinite
@@ -159,43 +121,44 @@ def test_cg_convergence_is_judged_on_true_residual():
     rng = np.random.default_rng(20)
     root = rng.standard_normal((300, 300))
     spd = root @ root.T + 0.5 * np.eye(300)
-    mat = CsrMatrix.from_dense(spd)
+    mat = scipy.sparse.csr_array(spd)
     b = rng.standard_normal(300)
     x, report = cg_solve(mat, b, tol=1e-13, maxit=10000)
     assert report.converged
     assert np.linalg.norm(b - spd @ x) / np.linalg.norm(b) <= 1e-13
 
 
-def test_from_scipy_does_not_freeze_caller_arrays():
-    import scipy.sparse
-
-    original = scipy.sparse.random(5, 5, density=0.5, format="csr",
-                                   random_state=np.random.default_rng(4))
-    CsrMatrix.from_scipy(original)
-    original.data[:] = 0.0  # caller's buffers stay writable
-
-
 def test_cg_reports_nonconvergence():
     rng = np.random.default_rng(8)
     root = rng.standard_normal((30, 30))
     spd = root @ root.T + 30.0 * np.eye(30)
-    _, report = cg_solve(CsrMatrix.from_dense(spd), rng.standard_normal(30),
+    _, report = cg_solve(scipy.sparse.csr_array(spd), rng.standard_normal(30),
                          tol=1e-13, maxit=2)
     assert not report.converged
     assert report.iterations == 2
     with pytest.raises(ValueError):
-        cg_solve(CsrMatrix.identity(2), np.ones(2), tol=2.0)
+        cg_solve(eye(2), np.ones(2), tol=2.0)
+
+
+def test_cg_rejects_mismatched_shapes():
+    with pytest.raises(ValueError, match=r"\(5, 5\).*\(4,\)"):
+        cg_solve(eye(5), np.ones(4))
+    with pytest.raises(ValueError, match=r"\(5, 5\).*\(5, 1\)"):
+        cg_solve(eye(5), np.ones((5, 1)))
+    rect, _ = random_sparse(np.random.default_rng(2), 5, 4)
+    with pytest.raises(ValueError, match=r"\(5, 4\).*\(5,\)"):
+        cg_solve(rect, np.ones(5))
 
 
 def test_cg_rejects_non_finite_rhs():
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="non-finite"):
-            cg_solve(CsrMatrix.identity(3), np.array([1.0, bad, 0.0]))
+            cg_solve(eye(3), np.array([1.0, bad, 0.0]))
 
 
 def test_cg_flags_indefinite_preconditioner():
     # r.z <= 0 cannot happen with an SPD preconditioner
-    x, report = cg_solve(CsrMatrix.identity(3), np.ones(3), precond=lambda r: -r)
+    x, report = cg_solve(eye(3), np.ones(3), precond=lambda r: -r)
     assert report.indefinite and not report.converged
     assert report.iterations == 0
     np.testing.assert_array_equal(x, 0.0)
@@ -206,7 +169,7 @@ def test_cg_custom_preconditioner():
     root = rng.standard_normal((40, 40))
     spd = root @ root.T + np.diag(np.linspace(1.0, 1e3, 40))
     b = rng.standard_normal(40)
-    mat = CsrMatrix.from_dense(spd)
+    mat = scipy.sparse.csr_array(spd)
     exact = np.linalg.inv(spd)
     x, report = cg_solve(mat, b, tol=1e-12, precond=lambda r: exact @ r)
     assert report.converged and report.iterations <= 2
@@ -271,7 +234,7 @@ def test_matrix_market_round_trip(tmp_path):
     np.testing.assert_allclose(back, dense, atol=0.0)
 
     sym_dense = dense[:4, :4] + dense[:4, :4].T
-    sym = CsrMatrix.from_dense(sym_dense)
+    sym = scipy.sparse.csr_array(sym_dense)
     path = write_matrix_market(sym, tmp_path / "sym.mtx", symmetric=True)
     text = path.read_text()
     assert "symmetric" in text.splitlines()[0]
