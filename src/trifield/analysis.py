@@ -17,18 +17,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .femcore import edge_quadrature, triangle_quadrature
+from .femcore import edge_quadrature, quadrature_blocks, triangle_quadrature
 from .mesh import Mesh, all_element_geometry
 
 
-def _element_points(mesh: Mesh, rule) -> np.ndarray:
-    """Physical coordinates of the rule points on every element, (T, q, 2)."""
-    return rule.points @ mesh.vertices[mesh.triangles]
-
-
-def _integrate(areas: np.ndarray, rule, values: np.ndarray) -> float:
-    """Sum over elements of the rule applied to values (T, q) at its points."""
-    return 2.0 * float(areas @ (values @ rule.weights))
+def _integrate(areas: np.ndarray, per_element: np.ndarray) -> float:
+    """Integral over the mesh from the per-element rule sums `values @ rule.weights`."""
+    return 2.0 * float(areas @ per_element)
 
 
 def _edge_points(mesh: Mesh, rule) -> np.ndarray:
@@ -42,10 +37,11 @@ def l2_error_u(mesh: Mesh, x_u: np.ndarray, exact_u: Callable,
     """||u - u_h||_{0,Omega} by element quadrature."""
     rule = triangle_quadrature(degree)
     areas, _ = all_element_geometry(mesh)
-    xq = _element_points(mesh, rule)
-    u_h = x_u[mesh.triangles] @ rule.points.T  # (T, q)
-    err = exact_u(xq[..., 0], xq[..., 1]) - u_h
-    return math.sqrt(_integrate(areas, rule, err**2))
+    l2 = np.empty(mesh.num_triangles)
+    for blk, x, y in quadrature_blocks(mesh, rule):
+        err = exact_u(x, y) - x_u[mesh.triangles[blk]] @ rule.points.T
+        l2[blk] = err**2 @ rule.weights
+    return math.sqrt(_integrate(areas, l2))
 
 
 def h1h_error_u(mesh: Mesh, x_u: np.ndarray, exact_u: Callable,
@@ -58,16 +54,16 @@ def h1h_error_u(mesh: Mesh, x_u: np.ndarray, exact_u: Callable,
     """
     rule = triangle_quadrature(degree)
     areas, grads = all_element_geometry(mesh)
-    xq = _element_points(mesh, rule)
-
-    u_h = x_u[mesh.triangles] @ rule.points.T
-    err = exact_u(xq[..., 0], xq[..., 1]) - u_h
-    l2_sq = _integrate(areas, rule, err**2)
-
     grad_h = np.einsum("ta,tad->td", x_u[mesh.triangles], grads)  # constant per element
-    g_exact = exact_grad_u(xq[..., 0], xq[..., 1])  # (2, T, q)
-    g_err = g_exact - grad_h.T[:, :, None]
-    h1_sq = _integrate(areas, rule, (g_err**2).sum(axis=0))
+    l2 = np.empty(mesh.num_triangles)
+    h1 = np.empty(mesh.num_triangles)
+    for blk, x, y in quadrature_blocks(mesh, rule):
+        err = exact_u(x, y) - x_u[mesh.triangles[blk]] @ rule.points.T
+        l2[blk] = err**2 @ rule.weights
+        g_err = exact_grad_u(x, y) - grad_h[blk].T[:, :, None]  # (2, len(blk), q)
+        h1[blk] = (g_err**2).sum(axis=0) @ rule.weights
+    l2_sq = _integrate(areas, l2)
+    h1_sq = _integrate(areas, h1)
 
     erule = edge_quadrature(edge_degree)
     xk = _edge_points(mesh, erule)
@@ -86,14 +82,13 @@ def l2_error_sigma(mesh: Mesh, x_sigma: np.ndarray, exact_grad_u: Callable,
     nvert = mesh.num_vertices
     rule = triangle_quadrature(degree)
     areas, _ = all_element_geometry(mesh)
-    xq = _element_points(mesh, rule)
-    g_exact = exact_grad_u(xq[..., 0], xq[..., 1])  # (2, T, q)
-    total = 0.0
-    for c in range(2):
-        sig_h = x_sigma[c * nvert + mesh.triangles] @ rule.points.T
-        err = g_exact[c] - sig_h
-        total += _integrate(areas, rule, err**2)
-    return math.sqrt(total)
+    per = np.empty((2, mesh.num_triangles))
+    for blk, x, y in quadrature_blocks(mesh, rule):
+        g_exact = exact_grad_u(x, y)  # (2, len(blk), q)
+        for c in range(2):
+            sig_h = x_sigma[c * nvert + mesh.triangles[blk]] @ rule.points.T
+            per[c, blk] = (g_exact[c] - sig_h) ** 2 @ rule.weights
+    return math.sqrt(_integrate(areas, per[0]) + _integrate(areas, per[1]))
 
 
 def half_h_norm(mesh: Mesh, u_dofs: np.ndarray, edge_degree: int = 3) -> float:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse
 
-from .femcore import DualBasis, edge_quadrature, triangle_quadrature
+from .femcore import DualBasis, edge_quadrature, quadrature_blocks, triangle_quadrature
 from .linsolve import canonical
 from .mesh import Mesh, all_element_geometry
 from .problems import ProblemData
@@ -143,11 +143,11 @@ def assemble(
     a_mat = scipy.sparse.coo_array((a_vals, (a_rows, a_cols)), shape=(nvert, 2 * nvert))
 
     # loads
-    f1 = np.zeros(nvert)
     lrule = triangle_quadrature(load_tri_degree)
-    xq = lrule.points @ mesh.vertices[tri]               # (T, q, 2)
-    f_vals = data.f(xq[..., 0], xq[..., 1])
-    f1_loc = scale[:, None] * ((f_vals * lrule.weights) @ lrule.points)
+    f1_loc = np.empty((len(tri), 3))
+    for blk, x, y in quadrature_blocks(mesh, lrule):
+        f1_loc[blk] = scale[blk, None] * ((data.f(x, y) * lrule.weights) @ lrule.points)
+    f1 = np.zeros(nvert)
     np.add.at(f1, tri, f1_loc)
 
     lerule = edge_quadrature(load_edge_degree)

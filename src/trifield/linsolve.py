@@ -13,6 +13,7 @@ meshes.
 
 from __future__ import annotations
 
+import math
 import time
 import warnings
 from collections.abc import Callable, Sequence
@@ -77,9 +78,10 @@ def cg_solve(
     `precond` maps a residual r to z = M^-1 r for an SPD M; None uses
     Jacobi, M = diag(a), and names it in the report. A caller passing its
     own preconditioner names it there (see `cli.solve_level`), and times
-    its set-up. Converged means ||b - a x|| / ||b|| <= tol. Raises
-    ValueError, before any work, unless a is square and b has one finite
-    entry per row.
+    its set-up. Converged means ||b - a x|| / ||b|| <= tol. Any finite
+    b is solved alike, however tiny or large: CG iterates on b scaled
+    by a power of two to order one. Raises ValueError, before any work,
+    unless a is square and b has one finite entry per row.
     Returns early with indefinite=True if a search direction has
     non-positive curvature or a residual has r.z <= 0, which an SPD
     operator with an SPD preconditioner never gives.
@@ -101,13 +103,21 @@ def cg_solve(
         def precond(res):
             return inv_diag * res
 
-    def report(iterations, rel, converged, indefinite=False):
-        return SolveReport(iterations, float(rel), converged, time.perf_counter() - t0,
-                           indefinite, label)
+    # iterate on b / 2^e with max |b / 2^e| in [1/2, 1): inner products of
+    # a tiny b underflowed to 0 (reported as indefinite) and of a huge b
+    # overflowed. A power of two scales every iterate exactly, so iterates
+    # and counts are unchanged for data in the normal range
+    _, exponent = math.frexp(np.abs(b).max(initial=0.0))
+    b = np.ldexp(b, -exponent)
+
+    def report(x, iterations, rel, converged, indefinite=False):
+        return np.ldexp(x, exponent), SolveReport(
+            iterations, float(rel), converged, time.perf_counter() - t0, indefinite, label
+        )
 
     norm_b = np.linalg.norm(b)
     if norm_b == 0.0:
-        return np.zeros_like(b), report(0, 0.0, True)
+        return report(np.zeros_like(b), 0, 0.0, True)
 
     x = np.zeros_like(b)
     r = b.copy()
@@ -117,13 +127,13 @@ def cg_solve(
         z = precond(r)
         rz = r @ z
         if not rz > 0.0:
-            return x, report(iterations, np.linalg.norm(r) / norm_b, False, True)
+            return report(x, iterations, np.linalg.norm(r) / norm_b, False, True)
         p = z.copy() if p is None else z + (rz / rz_prev) * p
         iterations += 1
         ap = a @ p
         curvature = p @ ap
         if curvature <= 0.0:
-            return x, report(iterations, np.linalg.norm(r) / norm_b, False, True)
+            return report(x, iterations, np.linalg.norm(r) / norm_b, False, True)
         step = rz / curvature
         x += step * p
         r -= step * ap
@@ -139,7 +149,7 @@ def cg_solve(
             p = None
 
     rel = float(np.linalg.norm(b - a @ x) / norm_b)
-    return x, report(iterations, rel, rel <= tol)
+    return report(x, iterations, rel, rel <= tol)
 
 
 class IndefiniteOperatorError(RuntimeError):

@@ -27,7 +27,15 @@ class ExampleId(enum.Enum):
 
 @dataclass(frozen=True)
 class ProblemData:
-    """Source, Dirichlet data and (optionally) the manufactured solution."""
+    """Source, Dirichlet data and (optionally) the manufactured solution.
+
+    Every field must be pointwise: called with coordinate arrays x and y
+    of one shape, it returns values of that shape (exact_grad_u: stacked
+    as (2, *shape)), each depending only on its own point. Quadrature
+    evaluates the fields block by block of triangles (see
+    `femcore.quadrature_blocks`), so a field that mixed points would
+    change with the block size.
+    """
 
     f: Field
     g_dirichlet: Field

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import trifield.femcore as femcore
 from trifield.analysis import (
     ErrorTable,
     convergence_rates,
@@ -13,10 +14,12 @@ from trifield.analysis import (
     l2_error_u,
     minus_half_h_norm,
 )
-from trifield.assembly import assemble_penalty_norm_product
+from trifield.assembly import assemble, assemble_penalty_norm_product
+from trifield.condense import condense, recover_sigma
 from trifield.femcore import edge_quadrature
+from trifield.linsolve import cg_solve
 from trifield.mesh import build_structured_unit_square
-from trifield.problems import linear_patch
+from trifield.problems import example2, linear_patch
 
 
 def zero_field(x, y):
@@ -72,6 +75,32 @@ def test_error_norms_are_homogeneous():
         assert abs(err(2.0 * x_u) - 2.0 * err(x_u)) <= 1e-12 * err(x_u)
     base = l2_error_sigma(mesh, x_sigma, zero_grad)
     assert abs(l2_error_sigma(mesh, 2.0 * x_sigma, zero_grad) - 2.0 * base) <= 1e-12 * base
+
+
+def test_blocked_quadrature_matches_a_single_block(monkeypatch):
+    # example 2 at n=16 has 512 triangles: blocks of 100 leave a ragged
+    # last block of 12, blocks of 512 cover the mesh at once
+    mesh = build_structured_unit_square(16)
+    data = example2()
+    blocks = assemble(mesh, data, 10.0)
+    system = condense(blocks, 0.5, 10.0)
+    x_u, report = cg_solve(system.K, system.F)
+    assert report.converged
+    x_sigma = recover_sigma(blocks, x_u)
+
+    def quantities():
+        return (assemble(mesh, data, 10.0).f1,
+                l2_error_u(mesh, x_u, data.exact_u),
+                h1h_error_u(mesh, x_u, data.exact_u, data.exact_grad_u),
+                l2_error_sigma(mesh, x_sigma, data.exact_grad_u))
+
+    monkeypatch.setattr(femcore, "QUADRATURE_BLOCK", mesh.num_triangles)
+    whole = quantities()
+    monkeypatch.setattr(femcore, "QUADRATURE_BLOCK", 100)
+    blocked = quantities()
+    np.testing.assert_allclose(blocked[0], whole[0], rtol=1e-14, atol=0)
+    for got, want in zip(blocked[1:], whole[1:]):
+        assert abs(got - want) <= 1e-14 * want
 
 
 def test_boundary_duality_pairing_inequality():

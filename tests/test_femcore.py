@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import trifield.femcore as femcore
 from trifield.femcore import (
     DUAL_COEFFICIENTS,
     DualBasis,
@@ -11,6 +12,7 @@ from trifield.femcore import (
     edge_quadrature,
     p1_grad,
     p1_shape,
+    quadrature_blocks,
     triangle_quadrature,
 )
 from trifield.mesh import build_structured_unit_square, element_geometry
@@ -51,6 +53,16 @@ def test_p1_shape_partition_of_unity():
     rng = np.random.default_rng(7)
     pts = random_barycentric(rng, 50)
     np.testing.assert_allclose(p1_shape(pts).sum(axis=1), 1.0, atol=1e-15)
+
+
+def test_p1_shape_rejects_points_that_are_not_barycentric():
+    # a ValueError, not an assert, so that python -O still rejects them
+    with pytest.raises(ValueError, match="nonnegative and sum to 1"):
+        p1_shape(np.array([0.7, 0.7, -0.4]))
+    with pytest.raises(ValueError, match="nonnegative and sum to 1"):
+        p1_shape(np.array([[0.2, 0.2, 0.2]]))
+    with pytest.raises(ValueError, match="3 coordinates"):
+        p1_shape(np.array([0.5, 0.5]))
 
 
 def test_p1_grad_comes_from_geometry():
@@ -154,3 +166,32 @@ def test_unsupported_degrees_raise():
         triangle_quadrature(12)
     with pytest.raises(ValueError):
         edge_quadrature(0)
+
+
+@pytest.mark.parametrize("build, degrees", [(triangle_quadrature, (2, 4, 6)),
+                                            (edge_quadrature, (1, 3, 5))])
+def test_rules_are_built_once_per_degree_and_read_only(build, degrees):
+    for degree in degrees:
+        rule = build(degree)
+        assert build(degree) is rule
+        for arr in (rule.points, rule.weights):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+    assert build(degrees[0]) is not build(degrees[1])
+
+
+@pytest.mark.parametrize("block", [7, 32, 10**6])
+def test_quadrature_blocks_cover_the_mesh_in_order(monkeypatch, block):
+    mesh = build_structured_unit_square(4)  # 32 triangles
+    rule = triangle_quadrature(6)
+    monkeypatch.setattr(femcore, "QUADRATURE_BLOCK", block)
+    blocks = list(quadrature_blocks(mesh, rule))
+    assert len(blocks) == math.ceil(mesh.num_triangles / block)
+    starts = [blk.start for blk, _, _ in blocks]
+    assert starts == list(range(0, mesh.num_triangles, block))
+    want = rule.points @ mesh.vertices[mesh.triangles]  # (T, q, 2)
+    for blk, x, y in blocks:
+        assert x.flags.c_contiguous and y.flags.c_contiguous
+        np.testing.assert_allclose(x, want[blk, :, 0], rtol=0, atol=1e-15)
+        np.testing.assert_allclose(y, want[blk, :, 1], rtol=0, atol=1e-15)

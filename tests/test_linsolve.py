@@ -5,6 +5,8 @@ import pytest
 import scipy.io
 import scipy.sparse
 
+from trifield.assembly import assemble
+from trifield.condense import condense
 from trifield.linsolve import (
     SingularMatrixError,
     canonical,
@@ -12,6 +14,8 @@ from trifield.linsolve import (
     dense_lu_solve,
     write_matrix_market,
 )
+from trifield.mesh import build_structured_unit_square
+from trifield.problems import linear_patch
 
 
 def random_sparse(rng, rows, cols, density=0.4):
@@ -154,6 +158,35 @@ def test_cg_rejects_non_finite_rhs():
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="non-finite"):
             cg_solve(eye(3), np.array([1.0, bad, 0.0]))
+
+
+def test_cg_iterates_are_invariant_under_power_of_two_scaling():
+    # b is scaled to order one before iterating: any power-of-two multiple
+    # of b gives the same iterations and the same multiple of x, bit for bit
+    rng = np.random.default_rng(31)
+    root = rng.standard_normal((25, 25))
+    mat = scipy.sparse.csr_array(root @ root.T + 25.0 * np.eye(25))
+    b = rng.standard_normal(25)
+    x, report = cg_solve(mat, b, tol=1e-13)
+    assert report.converged
+    for power in (-1000, -530, -3, 5, 1000):
+        x_s, scaled = cg_solve(mat, np.ldexp(b, power), tol=1e-13)
+        assert scaled.converged and not scaled.indefinite
+        assert scaled.iterations == report.iterations
+        assert scaled.relative_residual == report.relative_residual
+        np.testing.assert_array_equal(x_s, np.ldexp(x, power))
+
+
+def test_tiny_patch_load_is_not_reported_indefinite():
+    # r.z of a load of order 1e-159 underflowed to 0, which the r.z <= 0
+    # check took for an indefinite operator
+    mesh = build_structured_unit_square(2)
+    data = linear_patch(0.0, 0.0, 1.6e-159)
+    system = condense(assemble(mesh, data, 10.0), 0.5, 10.0)
+    x_u, report = cg_solve(system.K, system.F, tol=1e-14)
+    assert report.converged and not report.indefinite
+    want = data.exact_u(mesh.vertices[:, 0], mesh.vertices[:, 1])
+    assert np.abs(x_u - want).max() <= 1e-12 * 1.6e-159
 
 
 def test_cg_flags_indefinite_preconditioner():
