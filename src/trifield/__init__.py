@@ -20,14 +20,11 @@ from .condense import (
 from .femcore import (
     DualBasis,
     QuadratureRule,
-    dual_basis_values,
     edge_quadrature,
-    p1_grad,
-    p1_shape,
     triangle_quadrature,
 )
 from .linsolve import SolveReport, cg_solve, dense_lu_solve
-from .mesh import ElementGeometry, Mesh, build_structured_unit_square, element_geometry
+from .mesh import Mesh, build_structured_unit_square
 from .problems import ExampleId, ProblemData, example1, example2, linear_patch
 from .cli import StudyConfig, StudyResult, run_oracle_check, run_study
 
@@ -37,7 +34,6 @@ __all__ = [
     "BlockSystem",
     "CondensedSystem",
     "DualBasis",
-    "ElementGeometry",
     "ErrorTable",
     "ExampleId",
     "Mesh",
@@ -53,17 +49,13 @@ __all__ = [
     "condense",
     "convergence_rates",
     "dense_lu_solve",
-    "dual_basis_values",
     "edge_quadrature",
-    "element_geometry",
     "example1",
     "example2",
     "h1h_error_u",
     "l2_error_sigma",
     "l2_error_u",
     "linear_patch",
-    "p1_grad",
-    "p1_shape",
     "recover_phi",
     "recover_sigma",
     "run_oracle_check",

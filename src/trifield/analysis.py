@@ -17,7 +17,15 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .femcore import edge_quadrature, quadrature_blocks, triangle_quadrature
+from .femcore import (
+    DATA_EDGE_DEGREE,
+    DATA_TRI_DEGREE,
+    edge_points,
+    edge_quadrature,
+    edge_traces,
+    quadrature_blocks,
+    triangle_quadrature,
+)
 from .mesh import Mesh, all_element_geometry
 
 
@@ -26,16 +34,9 @@ def _integrate(areas: np.ndarray, per_element: np.ndarray) -> float:
     return 2.0 * float(areas @ per_element)
 
 
-def _edge_points(mesh: Mesh, rule) -> np.ndarray:
-    pa = mesh.vertices[mesh.boundary_edges[:, 0]]
-    pb = mesh.vertices[mesh.boundary_edges[:, 1]]
-    return pa[:, None, :] + rule.points[None, :, None] * (pb - pa)[:, None, :]
-
-
-def l2_error_u(mesh: Mesh, x_u: np.ndarray, exact_u: Callable,
-               degree: int = 6) -> float:
+def l2_error_u(mesh: Mesh, x_u: np.ndarray, exact_u: Callable) -> float:
     """||u - u_h||_{0,Omega} by element quadrature."""
-    rule = triangle_quadrature(degree)
+    rule = triangle_quadrature(DATA_TRI_DEGREE)
     areas, _ = all_element_geometry(mesh)
     l2 = np.empty(mesh.num_triangles)
     for blk, x, y in quadrature_blocks(mesh, rule):
@@ -45,14 +46,13 @@ def l2_error_u(mesh: Mesh, x_u: np.ndarray, exact_u: Callable,
 
 
 def h1h_error_u(mesh: Mesh, x_u: np.ndarray, exact_u: Callable,
-                exact_grad_u: Callable, degree: int = 6,
-                edge_degree: int = 5) -> float:
+                exact_grad_u: Callable) -> float:
     """||u - u_h||_{1,Omega} + ||u - u_h||_{1/2,h}.
 
     The first summand is the full H1 norm; the second the edge-weighted
     boundary norm sqrt(sum_e (1/h_e) ||e||^2_{0,e}).
     """
-    rule = triangle_quadrature(degree)
+    rule = triangle_quadrature(DATA_TRI_DEGREE)
     areas, grads = all_element_geometry(mesh)
     grad_h = np.einsum("ta,tad->td", x_u[mesh.triangles], grads)  # constant per element
     l2 = np.empty(mesh.num_triangles)
@@ -65,10 +65,9 @@ def h1h_error_u(mesh: Mesh, x_u: np.ndarray, exact_u: Callable,
     l2_sq = _integrate(areas, l2)
     h1_sq = _integrate(areas, h1)
 
-    erule = edge_quadrature(edge_degree)
-    xk = _edge_points(mesh, erule)
-    traces = np.column_stack([1.0 - erule.points, erule.points])
-    u_h_edge = x_u[mesh.boundary_edges] @ traces.T  # (E, k)
+    erule = edge_quadrature(DATA_EDGE_DEGREE)
+    xk = edge_points(mesh, erule)
+    u_h_edge = x_u[mesh.boundary_edges] @ edge_traces(erule).T  # (E, k)
     e_edge = exact_u(xk[..., 0], xk[..., 1]) - u_h_edge
     # the edge measure h_e cancels against the 1/h_e weight
     boundary_sq = np.einsum("k,ek->", erule.weights, e_edge**2)
@@ -76,11 +75,10 @@ def h1h_error_u(mesh: Mesh, x_u: np.ndarray, exact_u: Callable,
     return math.sqrt(l2_sq + h1_sq) + math.sqrt(boundary_sq)
 
 
-def l2_error_sigma(mesh: Mesh, x_sigma: np.ndarray, exact_grad_u: Callable,
-                   degree: int = 6) -> float:
+def l2_error_sigma(mesh: Mesh, x_sigma: np.ndarray, exact_grad_u: Callable) -> float:
     """||grad u - sigma_h||_{0,Omega} for the P1-per-component field sigma_h."""
     nvert = mesh.num_vertices
-    rule = triangle_quadrature(degree)
+    rule = triangle_quadrature(DATA_TRI_DEGREE)
     areas, _ = all_element_geometry(mesh)
     per = np.empty((2, mesh.num_triangles))
     for blk, x, y in quadrature_blocks(mesh, rule):
@@ -91,18 +89,17 @@ def l2_error_sigma(mesh: Mesh, x_sigma: np.ndarray, exact_grad_u: Callable,
     return math.sqrt(_integrate(areas, per[0]) + _integrate(areas, per[1]))
 
 
-def half_h_norm(mesh: Mesh, u_dofs: np.ndarray, edge_degree: int = 3) -> float:
+def half_h_norm(mesh: Mesh, u_dofs: np.ndarray) -> float:
     """Boundary norm ||u_h||_{1/2,h} of a P1 field."""
     from .assembly import assemble_penalty_norm_product
 
-    return math.sqrt(assemble_penalty_norm_product(mesh, u_dofs, u_dofs, edge_degree))
+    return math.sqrt(assemble_penalty_norm_product(mesh, u_dofs, u_dofs))
 
 
-def minus_half_h_norm(mesh: Mesh, boundary_field: Callable,
-                      edge_degree: int = 5) -> float:
+def minus_half_h_norm(mesh: Mesh, boundary_field: Callable) -> float:
     """Dual boundary norm sqrt(sum_e h_e ||z||^2_{0,e}) of a pointwise field."""
-    rule = edge_quadrature(edge_degree)
-    xk = _edge_points(mesh, rule)
+    rule = edge_quadrature(DATA_EDGE_DEGREE)
+    xk = edge_points(mesh, rule)
     z = boundary_field(xk[..., 0], xk[..., 1])  # (E, k)
     total = np.einsum("e,k,ek->", mesh.boundary_length**2, rule.weights, z**2)
     return math.sqrt(total)

@@ -9,10 +9,9 @@ Dirichlet data).
 Vector-valued degrees of freedom are two stacked scalar blocks: dof
 (c, j) of component c lives at index c*N + j. Dirichlet data is
 evaluated pointwise at quadrature nodes, never interpolated first. The
-matrix integrands are products of P1 functions, so the default degrees
-(2 on triangles, 3 on edges) integrate them exactly; the data integrals
-default to higher-degree rules so data integration error stays far
-below the discretisation error.
+quadrature degrees are the fixed ones of `femcore`: exact for the P1
+products of the matrices, and high enough for the data integrals that
+their error stays far below the discretisation error.
 """
 
 from __future__ import annotations
@@ -22,7 +21,18 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse
 
-from .femcore import DualBasis, edge_quadrature, quadrature_blocks, triangle_quadrature
+from .femcore import (
+    DATA_EDGE_DEGREE,
+    DATA_TRI_DEGREE,
+    P1_EDGE_DEGREE,
+    P1_TRI_DEGREE,
+    DualBasis,
+    edge_points,
+    edge_quadrature,
+    edge_traces,
+    quadrature_blocks,
+    triangle_quadrature,
+)
 from .linsolve import canonical
 from .mesh import Mesh, all_element_geometry
 from .problems import ProblemData
@@ -55,21 +65,11 @@ def _element_triplet_pattern(triangles: np.ndarray) -> tuple[np.ndarray, np.ndar
     return rows, cols
 
 
-def _edge_trace_matrix(rule) -> np.ndarray:
-    """Traces of the two endpoint P1 functions at the edge rule points, (k, 2)."""
-    s = rule.points
-    return np.column_stack([1.0 - s, s])
-
-
 def assemble(
     mesh: Mesh,
     data: ProblemData,
     alpha: float,
     dual: DualBasis | None = None,
-    tri_degree: int = 2,
-    edge_degree: int = 3,
-    load_tri_degree: int = 6,
-    load_edge_degree: int = 5,
 ) -> BlockSystem:
     """Assemble all blocks of the saddle-point system on the given mesh.
 
@@ -77,14 +77,14 @@ def assemble(
     rescales D and B together, which leaves the condensed problem
     invariant.
     """
-    if alpha < 0.0:
-        raise ValueError(f"penalty weight must be nonnegative, got {alpha}")
+    if not 0.0 <= alpha < np.inf:
+        raise ValueError(f"penalty weight must be finite and nonnegative, got {alpha}")
     dual = dual or DualBasis()
     nvert = mesh.num_vertices
     tri = mesh.triangles
     areas, grads = all_element_geometry(mesh)
 
-    rule = triangle_quadrature(tri_degree)
+    rule = triangle_quadrature(P1_TRI_DEGREE)
     shp = rule.points                      # (q, 3) P1 values = barycentrics
     w = rule.weights
     mu = dual.values(rule.points)          # (q, 3)
@@ -105,8 +105,10 @@ def assemble(
 
     rows, cols = _element_triplet_pattern(tri)
     s_mat = scipy.sparse.coo_array((s_loc.ravel(), (rows, cols)), shape=(nvert, nvert))
-    m_scalar = scipy.sparse.coo_array((m_loc.ravel(), (rows, cols)), shape=(nvert, nvert))
-    m_mat = scipy.sparse.block_diag((m_scalar, m_scalar))
+    m_scalar = canonical(
+        scipy.sparse.coo_array((m_loc.ravel(), (rows, cols)), shape=(nvert, nvert))
+    )
+    m_mat = scipy.sparse.block_diag((m_scalar, m_scalar), format="csr")
 
     d_diag = np.zeros(nvert)
     np.add.at(d_diag, tri.ravel(), d_loc.ravel())
@@ -117,8 +119,8 @@ def assemble(
     b_mat = scipy.sparse.coo_array((b_vals, (b_rows, b_cols)), shape=(nvert, 2 * nvert))
 
     # boundary terms
-    erule = edge_quadrature(edge_degree)
-    tr = _edge_trace_matrix(erule)                       # (k, 2)
+    erule = edge_quadrature(P1_EDGE_DEGREE)
+    tr = edge_traces(erule)                              # (k, 2)
     pairing_ref = tr.T @ (erule.weights[:, None] * tr)   # (2, 2), edge P1 x P1
     bedges = mesh.boundary_edges
     h_e = mesh.boundary_length
@@ -143,18 +145,16 @@ def assemble(
     a_mat = scipy.sparse.coo_array((a_vals, (a_rows, a_cols)), shape=(nvert, 2 * nvert))
 
     # loads
-    lrule = triangle_quadrature(load_tri_degree)
+    lrule = triangle_quadrature(DATA_TRI_DEGREE)
     f1_loc = np.empty((len(tri), 3))
     for blk, x, y in quadrature_blocks(mesh, lrule):
         f1_loc[blk] = scale[blk, None] * ((data.f(x, y) * lrule.weights) @ lrule.points)
     f1 = np.zeros(nvert)
     np.add.at(f1, tri, f1_loc)
 
-    lerule = edge_quadrature(load_edge_degree)
-    ltr = _edge_trace_matrix(lerule)
-    pa = mesh.vertices[bedges[:, 0]]
-    pb = mesh.vertices[bedges[:, 1]]
-    xk = pa[:, None, :] + lerule.points[None, :, None] * (pb - pa)[:, None, :]
+    lerule = edge_quadrature(DATA_EDGE_DEGREE)
+    ltr = edge_traces(lerule)
+    xk = edge_points(mesh, lerule)
     g_vals = data.g_dirichlet(xk[..., 0], xk[..., 1])    # (E, k)
     edge_data = np.einsum("k,ek,kp->ep", lerule.weights, g_vals, ltr)  # (E, 2)
 
@@ -181,7 +181,7 @@ def assemble(
 
 
 def assemble_penalty_norm_product(
-    mesh: Mesh, u_dofs: np.ndarray, v_dofs: np.ndarray, edge_degree: int = 3
+    mesh: Mesh, u_dofs: np.ndarray, v_dofs: np.ndarray
 ) -> float:
     """Edge-weighted boundary product sum_e (1/h_e) int_e u v ds for P1 fields.
 
@@ -192,17 +192,15 @@ def assemble_penalty_norm_product(
     v_dofs = np.asarray(v_dofs, dtype=float)
     if u_dofs.shape != (mesh.num_vertices,) or v_dofs.shape != (mesh.num_vertices,):
         raise ValueError("dof vectors must have one entry per mesh vertex")
-    rule = edge_quadrature(edge_degree)
-    tr = _edge_trace_matrix(rule)
+    rule = edge_quadrature(P1_EDGE_DEGREE)
+    tr = edge_traces(rule)
     u_trace = u_dofs[mesh.boundary_edges] @ tr.T  # (E, k)
     v_trace = v_dofs[mesh.boundary_edges] @ tr.T
     # the h_e measure cancels against the 1/h_e weight
     return float(np.einsum("k,ek,ek->", rule.weights, u_trace, v_trace))
 
 
-def dual_pairing_matrix(
-    mesh: Mesh, dual: DualBasis | None = None, tri_degree: int = 2
-) -> scipy.sparse.csr_array:
+def dual_pairing_matrix(mesh: Mesh, dual: DualBasis | None = None) -> scipy.sparse.csr_array:
     """Full pairing matrix int_Omega rho_i mu_j dx, for biorthogonality checks.
 
     Off-diagonal entries vanish analytically; assembling all nine local
@@ -211,7 +209,7 @@ def dual_pairing_matrix(
     dual = dual or DualBasis()
     nvert = mesh.num_vertices
     areas, _ = all_element_geometry(mesh)
-    rule = triangle_quadrature(tri_degree)
+    rule = triangle_quadrature(P1_TRI_DEGREE)
     mu = dual.values(rule.points)
     loc = (2.0 * areas)[:, None, None] * np.einsum(
         "q,qa,qb->ab", rule.weights, rule.points, mu

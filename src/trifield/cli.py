@@ -72,7 +72,8 @@ class SolverFailure(RuntimeError):
 
 @dataclass(frozen=True)
 class StudyConfig:
-    """Resolved parameters of one convergence study."""
+    """The parameters of one convergence study: every value that changes
+    its numbers. How the report is written is the caller's choice."""
 
     example: ExampleId = ExampleId.EXAMPLE1
     levels: tuple[int, ...] = DEFAULT_LEVELS
@@ -80,23 +81,12 @@ class StudyConfig:
     alpha: float = 10.0
     cg_tol: float = 1e-12
     cg_maxit: int = 20000
-    tri_degree: int = 2
-    edge_degree: int = 3
-    error_degree: int = 6
-    error_edge_degree: int = 5
-    load_tri_degree: int = 6
-    load_edge_degree: int = 5
-    output_format: str = "markdown"
-    output_path: Path | None = None
-    run_full_saddle_oracle: bool = False
-    export_matrices: Path | None = None
-    export_mesh: Path | None = None
 
     def validate(self) -> None:
         if not 0.0 < self.r < 1.0:
             raise ConfigError(f"r must lie in (0, 1), got {self.r}")
-        if self.alpha <= 0.0:
-            raise ConfigError(f"alpha must be positive, got {self.alpha}")
+        if not 0.0 < self.alpha < np.inf:
+            raise ConfigError(f"alpha must be positive and finite, got {self.alpha}")
         if not self.levels:
             raise ConfigError("need at least one refinement level")
         if any(n < 1 for n in self.levels):
@@ -112,12 +102,6 @@ class StudyConfig:
             raise ConfigError(f"cg tolerance must be in (0, 1), got {self.cg_tol}")
         if self.cg_maxit < 1:
             raise ConfigError("cg_maxit must be positive")
-        if self.output_format not in ("csv", "markdown", "json"):
-            raise ConfigError(f"unknown output format {self.output_format!r}")
-        if self.run_full_saddle_oracle and max(self.levels) > ORACLE_MAX_LEVEL:
-            raise ConfigError(
-                f"the full-saddle oracle is restricted to levels <= {ORACLE_MAX_LEVEL}"
-            )
 
     def echo(self) -> dict:
         return {
@@ -127,12 +111,6 @@ class StudyConfig:
             "alpha": self.alpha,
             "cg_tol": self.cg_tol,
             "cg_maxit": self.cg_maxit,
-            "tri_degree": self.tri_degree,
-            "edge_degree": self.edge_degree,
-            "error_degree": self.error_degree,
-            "error_edge_degree": self.error_edge_degree,
-            "load_tri_degree": self.load_tri_degree,
-            "load_edge_degree": self.load_edge_degree,
         }
 
 
@@ -172,31 +150,26 @@ class StudyResult:
             for sol in self.solutions
         ]
 
-    def render(self) -> str:
+    def render(self, fmt: str) -> str:
+        """The report as "markdown", "csv" or "json", with the config embedded."""
         echo = self.config.echo()
-        if self.config.output_format == "csv":
+        if fmt == "markdown":
+            return self.table.to_markdown(config=echo)
+        if fmt == "csv":
             return self.table.to_csv(config=echo)
-        if self.config.output_format == "json":
+        if fmt == "json":
             # wall times differ from run to run; leaving them out keeps the
             # report byte-for-byte reproducible
             reports = [{k: v for k, v in record.items() if k != "wall_time"}
                        for record in self.solver_reports()]
             return self.table.to_json(config=echo, solver_reports=reports)
-        return self.table.to_markdown(config=echo)
+        raise ValueError(f"unknown output format {fmt!r}")
 
 
 def solve_level(n: int, data: ProblemData, config: StudyConfig) -> LevelSolution:
     """Run the condensed pipeline at one refinement level."""
     mesh = build_structured_unit_square(n)
-    blocks = assemble(
-        mesh,
-        data,
-        config.alpha,
-        tri_degree=config.tri_degree,
-        edge_degree=config.edge_degree,
-        load_tri_degree=config.load_tri_degree,
-        load_edge_degree=config.load_edge_degree,
-    )
+    blocks = assemble(mesh, data, config.alpha)
     if not (np.all(np.isfinite(blocks.f1)) and np.all(np.isfinite(blocks.f2))):
         raise ConfigError(
             f"loads at level n={n} are not finite; check the source and boundary data"
@@ -262,14 +235,9 @@ def run_study(config: StudyConfig, data: ProblemData | None = None) -> StudyResu
         if not sol.report.converged:
             raise SolverFailure(n, sol.report)
         solutions.append(sol)
-        e_l2.append(l2_error_u(sol.mesh, sol.x_u, data.exact_u, config.error_degree))
-        e_h1h.append(
-            h1h_error_u(sol.mesh, sol.x_u, data.exact_u, data.exact_grad_u,
-                        config.error_degree, config.error_edge_degree)
-        )
-        e_sig.append(
-            l2_error_sigma(sol.mesh, sol.x_sigma, data.exact_grad_u, config.error_degree)
-        )
+        e_l2.append(l2_error_u(sol.mesh, sol.x_u, data.exact_u))
+        e_h1h.append(h1h_error_u(sol.mesh, sol.x_u, data.exact_u, data.exact_grad_u))
+        e_sig.append(l2_error_sigma(sol.mesh, sol.x_sigma, data.exact_grad_u))
 
     table = ErrorTable.from_errors(
         config.levels, [sol.mesh.num_triangles for sol in solutions], e_l2, e_h1h, e_sig
@@ -317,9 +285,12 @@ def _rel_max_diff(got: np.ndarray, want: np.ndarray) -> float:
 
 def run_oracle_check(config: StudyConfig) -> OracleCheckResult:
     """Compare the condensed pipeline against the dense full-saddle solve."""
-    config = replace(config, run_full_saddle_oracle=True,
-                     cg_tol=min(config.cg_tol, 1e-13))
     config.validate()
+    if max(config.levels) > ORACLE_MAX_LEVEL:
+        raise ConfigError(
+            f"the full-saddle oracle is restricted to levels <= {ORACLE_MAX_LEVEL}"
+        )
+    config = replace(config, cg_tol=min(config.cg_tol, 1e-13))
     data = by_id(config.example)
 
     d_u, d_s, d_p = [], [], []
@@ -340,12 +311,12 @@ def run_oracle_check(config: StudyConfig) -> OracleCheckResult:
     )
 
 
-def _export_artifacts(result: StudyResult, config: StudyConfig) -> None:
-    if config.export_mesh is not None:
+def _export_artifacts(result: StudyResult, args: argparse.Namespace) -> None:
+    if args.export_mesh is not None:
         for sol in result.solutions:
-            write_mesh_files(sol.mesh, config.export_mesh)
-    if config.export_matrices is not None:
-        directory = Path(config.export_matrices)
+            write_mesh_files(sol.mesh, args.export_mesh)
+    if args.export_matrices is not None:
+        directory = args.export_matrices
         for sol in result.solutions:
             n = sol.level
             write_matrix_market(sol.system.K, directory / f"K-n{n}.mtx", symmetric=True)
@@ -399,7 +370,6 @@ def config_from_args(args: argparse.Namespace) -> StudyConfig:
         levels = tuple(int(tok) for tok in args.levels.split(",") if tok.strip())
     except ValueError as exc:
         raise ConfigError(f"cannot parse levels {args.levels!r}") from exc
-    fmt = {"md": "markdown"}.get(args.format, args.format)
     return StudyConfig(
         example=_EXAMPLE_TOKENS[args.example],
         levels=levels,
@@ -407,11 +377,6 @@ def config_from_args(args: argparse.Namespace) -> StudyConfig:
         alpha=args.alpha,
         cg_tol=args.cg_tol,
         cg_maxit=args.cg_maxit,
-        output_format=fmt,
-        output_path=args.out,
-        run_full_saddle_oracle=args.oracle,
-        export_matrices=args.export_matrices,
-        export_mesh=args.export_mesh,
     )
 
 
@@ -427,8 +392,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = config_from_args(args)
-        config.validate()
-        if config.run_full_saddle_oracle:
+        if args.oracle:
             check = run_oracle_check(config)
         else:
             result = run_study(config)
@@ -439,11 +403,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 
-    if config.run_full_saddle_oracle:
-        _emit(check.render(), config.output_path)
+    if args.oracle:
+        _emit(check.render(), args.out)
         return 0 if check.passed else 4
-    _export_artifacts(result, config)
-    _emit(result.render(), config.output_path)
+    _export_artifacts(result, args)
+    fmt = "markdown" if args.format == "md" else args.format
+    _emit(result.render(fmt), args.out)
     return 0
 
 

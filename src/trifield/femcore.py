@@ -1,4 +1,4 @@
-"""P1 shape functions, the biorthogonal dual basis, and quadrature rules.
+"""The biorthogonal dual basis, quadrature rules and their fixed degrees.
 
 The dual basis mu_i = 3*lambda_i - lambda_j - lambda_k is the unique
 P1-spanned basis that is biorthogonal to the barycentric basis element
@@ -15,7 +15,7 @@ from functools import cache
 
 import numpy as np
 
-from .mesh import ElementGeometry, Mesh
+from .mesh import Mesh
 
 #: mu_i expressed in the barycentric monomials: row i holds the
 #: coefficients of (lambda_1, lambda_2, lambda_3) in mu_i.
@@ -63,34 +63,12 @@ class QuadratureRule:
         self.weights.flags.writeable = False
 
 
-def p1_shape(points: np.ndarray) -> np.ndarray:
-    """P1 shape values at barycentric points: the coordinates themselves."""
-    points = np.asarray(points, dtype=float)
-    if points.shape[-1:] != (3,):
-        raise ValueError(f"barycentric points need 3 coordinates, got shape {points.shape}")
-    if not (np.all(points >= -1e-12) and np.allclose(points.sum(axis=-1), 1.0)):
-        raise ValueError("barycentric points must be nonnegative and sum to 1")
-    return points
-
-
-def p1_grad(geom: ElementGeometry) -> np.ndarray:
-    """Constant P1 shape gradients (3, 2) on the element."""
-    return geom.grad_lambda
-
-
-def dual_basis_values(points: np.ndarray, basis: DualBasis | None = None) -> np.ndarray:
-    """Dual basis values mu_i = 3*lambda_i - lambda_j - lambda_k at (..., 3) points."""
-    return (basis or DualBasis()).values(points)
-
-
 # Symmetric rules on the reference triangle, stored as barycentric points
 # with weights normalised to sum to 1; scaled to the 1/2 convention below.
 def _tri_points(groups):
     pts, wts = [], []
     for kind, coords, w in groups:
-        if kind == "center":
-            perms = [(coords[0],) * 3]
-        elif kind == "sym3":
+        if kind == "sym3":
             a, b = coords
             perms = [(b, a, a), (a, b, a), (a, a, b)]
         else:  # full orbit of (a, b, c) with distinct entries
@@ -154,6 +132,19 @@ def edge_quadrature(degree: int) -> QuadratureRule:
     )
 
 
+#: degrees of the rules for the matrix integrands, which are products of
+#: two P1 functions (or a P1 function and a dual function) and so have
+#: degree 2: these rules integrate them exactly
+P1_TRI_DEGREE = 2
+P1_EDGE_DEGREE = 3
+
+#: degrees of the rules for integrals of problem data, shared by the loads
+#: and the error norms: the data are not polynomials, and these rules keep
+#: the error of integrating them far below the discretisation error
+DATA_TRI_DEGREE = 6
+DATA_EDGE_DEGREE = 5
+
+
 #: triangles per block of `quadrature_blocks`. Evaluating a field on all
 #: points of a large mesh at once makes every numpy temporary a multi-MB
 #: array that misses cache; blocks keep them cache-sized. On example 2 at
@@ -183,3 +174,15 @@ def quadrature_blocks(
         blk = slice(start, start + QUADRATURE_BLOCK)
         corners = tri[blk]
         yield blk, vx[corners] @ to_points, vy[corners] @ to_points
+
+
+def edge_points(mesh: Mesh, rule: QuadratureRule) -> np.ndarray:
+    """Physical coordinates (E, k, 2) of the edge rule points on every boundary edge."""
+    pa = mesh.vertices[mesh.boundary_edges[:, 0]]
+    pb = mesh.vertices[mesh.boundary_edges[:, 1]]
+    return pa[:, None, :] + rule.points[None, :, None] * (pb - pa)[:, None, :]
+
+
+def edge_traces(rule: QuadratureRule) -> np.ndarray:
+    """Traces of the two endpoint P1 functions at the edge rule points, (k, 2)."""
+    return np.column_stack([1.0 - rule.points, rule.points])

@@ -70,14 +70,6 @@ class Mesh:
         return self.boundary_edges.shape[0]
 
 
-@dataclass(frozen=True)
-class ElementGeometry:
-    """Area and barycentric-coordinate gradients of one triangle."""
-
-    area: float
-    grad_lambda: np.ndarray  # (3, 2), rows sum to zero
-
-
 def build_structured_unit_square(n: int) -> Mesh:
     """Triangulate [0,1]^2 with an n x n grid of diagonally split cells."""
     if n < 1:
@@ -123,14 +115,6 @@ def build_structured_unit_square(n: int) -> Mesh:
         boundary_length=lengths,
         level=n,
     )
-
-
-def element_geometry(mesh: Mesh, t: int) -> ElementGeometry:
-    """Area and barycentric gradients of triangle t."""
-    if not 0 <= t < mesh.num_triangles:
-        raise IndexError(f"triangle index {t} out of range [0, {mesh.num_triangles})")
-    areas, grads = all_element_geometry(mesh)
-    return ElementGeometry(area=float(areas[t]), grad_lambda=grads[t])
 
 
 def all_element_geometry(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:

@@ -13,12 +13,7 @@ from trifield.assembly import (
     assemble_penalty_norm_product,
     dual_pairing_matrix,
 )
-from trifield.femcore import (
-    DualBasis,
-    dual_basis_values,
-    edge_quadrature,
-    triangle_quadrature,
-)
+from trifield.femcore import DualBasis, edge_quadrature, triangle_quadrature
 from trifield.mesh import all_element_geometry, build_structured_unit_square
 from trifield.problems import example1, example2, linear_patch
 
@@ -52,7 +47,7 @@ def eval_dual_vector_pairing(mesh, tau_vec, phi_vec, dual=None):
     nvert = mesh.num_vertices
     areas, _ = all_element_geometry(mesh)
     rule = triangle_quadrature(2)
-    mu = dual_basis_values(rule.points, dual)
+    mu = (dual or DualBasis()).values(rule.points)
     total = 0.0
     for t, tri in enumerate(mesh.triangles):
         for q, w in enumerate(rule.weights):
@@ -68,7 +63,7 @@ def eval_grad_dual(mesh, v_dofs, phi_vec, dual=None):
     nvert = mesh.num_vertices
     areas, grads = all_element_geometry(mesh)
     rule = triangle_quadrature(2)
-    mu = dual_basis_values(rule.points, dual)
+    mu = (dual or DualBasis()).values(rule.points)
     total = 0.0
     for t, tri in enumerate(mesh.triangles):
         gv = sum(v_dofs[tri[a]] * grads[t, a] for a in range(3))
@@ -254,5 +249,6 @@ def test_constant_flux_closed_boundary_identity(system_n3):
 
 def test_assemble_rejects_negative_alpha():
     mesh = build_structured_unit_square(1)
-    with pytest.raises(ValueError):
-        assemble(mesh, example1(), alpha=-1.0)
+    for alpha in (-1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            assemble(mesh, example1(), alpha=alpha)

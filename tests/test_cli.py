@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -20,8 +21,9 @@ def test_config_validation():
     StudyConfig().validate()
     with pytest.raises(ConfigError):
         StudyConfig(r=1.0).validate()
-    with pytest.raises(ConfigError):
-        StudyConfig(alpha=0.0).validate()
+    for alpha in (0.0, np.inf, np.nan):
+        with pytest.raises(ConfigError, match="alpha"):
+            StudyConfig(alpha=alpha).validate()
     with pytest.raises(ConfigError):
         StudyConfig(levels=()).validate()
     with pytest.raises(ConfigError):
@@ -32,10 +34,41 @@ def test_config_validation():
         StudyConfig(levels=(2, 3)).validate()  # rates need halving
     with pytest.raises(ConfigError):
         StudyConfig(cg_tol=2.0).validate()
+
+
+def test_config_has_only_the_values_that_change_the_numbers():
+    fields = ["example", "levels", "r", "alpha", "cg_tol", "cg_maxit"]
+    assert [f.name for f in dataclasses.fields(StudyConfig)] == fields
+    config = StudyConfig(levels=(2, 4))
+    doc = json.loads(run_study(config).render("json"))
+    assert sorted(doc["config"]) == sorted(fields)
+    assert doc["config"] == config.echo()
+
+
+def test_render_formats_from_the_python_api():
+    result = run_study(StudyConfig(example=ExampleId.LINEAR_PATCH, levels=(2, 4)))
+    markdown = result.render("markdown")
+    assert markdown.startswith("config: {")
+    assert "| elem | err u L2 |" in markdown
+    csv_lines = result.render("csv").splitlines()
+    assert csv_lines[0].startswith("# config: {")
+    assert csv_lines[1] == "elem,eL2,rateL2,e1h,rate1h,eSig,rateSig"
+    assert len(csv_lines) == 4
+    doc = json.loads(result.render("json"))
+    assert [record["level"] for record in doc["levels"]] == [2, 4]
+    with pytest.raises(ValueError, match="yaml"):
+        result.render("yaml")
+
+
+def test_oracle_check_rejects_large_levels_before_solving(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("solved a level the oracle rejects")
+
+    monkeypatch.setattr("trifield.cli.solve_level", fail)
     with pytest.raises(ConfigError):
-        StudyConfig(output_format="yaml").validate()
-    with pytest.raises(ConfigError):
-        StudyConfig(run_full_saddle_oracle=True, levels=(2, 32)).validate()
+        run_oracle_check(StudyConfig(levels=(2, 32)))  # not doubling either
+    with pytest.raises(ConfigError, match="oracle is restricted to levels <= 16"):
+        run_oracle_check(StudyConfig(levels=(16, 32)))
 
 
 def test_run_study_patch_levels_are_exact():
@@ -47,10 +80,9 @@ def test_run_study_patch_levels_are_exact():
 
 
 def test_run_study_reports_are_complete():
-    config = StudyConfig(example=ExampleId.EXAMPLE1, levels=(2, 4),
-                         output_format="json")
+    config = StudyConfig(example=ExampleId.EXAMPLE1, levels=(2, 4))
     result = run_study(config)
-    doc = json.loads(result.render())
+    doc = json.loads(result.render("json"))
     assert doc["config"]["example"] == "example1"
     assert doc["config"]["r"] == 0.5
     assert len(doc["levels"]) == 2
@@ -61,11 +93,10 @@ def test_run_study_reports_are_complete():
         assert "wall" not in json.dumps(record["solver"])  # deterministic payload
 
     # level 64 runs the multigrid path; wall times are reported in process only
-    config = StudyConfig(example=ExampleId.EXAMPLE1, levels=(32, 64),
-                         output_format="json")
+    config = StudyConfig(example=ExampleId.EXAMPLE1, levels=(32, 64))
     result = run_study(config)
     reports = result.solver_reports()
-    solver = [record["solver"] for record in json.loads(result.render())["levels"]]
+    solver = [record["solver"] for record in json.loads(result.render("json"))["levels"]]
     assert solver == [{k: v for k, v in r.items() if k != "wall_time"} for r in reports]
     assert [s["level"] for s in solver] == [32, 64]
     assert [s["preconditioner"] for s in solver] == ["jacobi", "multigrid"]
@@ -137,6 +168,13 @@ def test_main_invalid_config_exits_2(capsys):
     assert main(["--oracle", "--levels", "2,32"]) == 2
     err = capsys.readouterr().err
     assert "error:" in err
+    assert main(["--oracle", "--levels", "16,32"]) == 2
+    assert "oracle is restricted" in capsys.readouterr().err
+    for alpha in ("inf", "nan"):
+        assert main(["--example", "1", "--levels", "2,4", "--alpha", alpha]) == 2
+        err = capsys.readouterr().err
+        assert "error: alpha must be positive and finite" in err
+        assert "not finite" not in err
 
 
 def test_main_solver_failure_exits_3(capsys):

@@ -7,15 +7,13 @@ import pytest
 import trifield.femcore as femcore
 from trifield.femcore import (
     DUAL_COEFFICIENTS,
+    P1_TRI_DEGREE,
     DualBasis,
-    dual_basis_values,
     edge_quadrature,
-    p1_grad,
-    p1_shape,
     quadrature_blocks,
     triangle_quadrature,
 )
-from trifield.mesh import build_structured_unit_square, element_geometry
+from trifield.mesh import build_structured_unit_square
 
 
 def exact_barycentric_moment(a: int, b: int, c: int, area: float = 0.5) -> float:
@@ -42,35 +40,6 @@ def random_barycentric(rng, size):
     return pts
 
 
-def test_p1_shape_is_nodal():
-    np.testing.assert_allclose(p1_shape(np.array([1.0, 0.0, 0.0])), [1, 0, 0])
-    np.testing.assert_allclose(
-        p1_shape(np.array([1 / 3, 1 / 3, 1 / 3])), [1 / 3, 1 / 3, 1 / 3]
-    )
-
-
-def test_p1_shape_partition_of_unity():
-    rng = np.random.default_rng(7)
-    pts = random_barycentric(rng, 50)
-    np.testing.assert_allclose(p1_shape(pts).sum(axis=1), 1.0, atol=1e-15)
-
-
-def test_p1_shape_rejects_points_that_are_not_barycentric():
-    # a ValueError, not an assert, so that python -O still rejects them
-    with pytest.raises(ValueError, match="nonnegative and sum to 1"):
-        p1_shape(np.array([0.7, 0.7, -0.4]))
-    with pytest.raises(ValueError, match="nonnegative and sum to 1"):
-        p1_shape(np.array([[0.2, 0.2, 0.2]]))
-    with pytest.raises(ValueError, match="3 coordinates"):
-        p1_shape(np.array([0.5, 0.5]))
-
-
-def test_p1_grad_comes_from_geometry():
-    mesh = build_structured_unit_square(2)
-    geom = element_geometry(mesh, 0)
-    np.testing.assert_array_equal(p1_grad(geom), geom.grad_lambda)
-
-
 def test_dual_pairing_against_exact_moments():
     # the defining biorthogonality on the reference element: c_j = |T|/3
     for i in range(3):
@@ -81,9 +50,9 @@ def test_dual_pairing_against_exact_moments():
 
 
 def test_dual_basis_quadrature_matches_exact_moments():
-    # degree-2 rule integrates the linear-times-linear pairing exactly
-    rule = triangle_quadrature(2)
-    mu = dual_basis_values(rule.points)
+    # the P1 rule integrates the linear-times-linear pairing exactly
+    rule = triangle_quadrature(P1_TRI_DEGREE)
+    mu = DualBasis().values(rule.points)
     pairing = np.einsum("q,qi,qj->ij", rule.weights, rule.points, mu)
     for i in range(3):
         for j in range(3):
@@ -92,11 +61,11 @@ def test_dual_basis_quadrature_matches_exact_moments():
 
 def test_dual_basis_centroid_and_partition_sum():
     centroid = np.array([1 / 3, 1 / 3, 1 / 3])
-    np.testing.assert_allclose(dual_basis_values(centroid), [1 / 3, 1 / 3, 1 / 3],
+    np.testing.assert_allclose(DualBasis().values(centroid), [1 / 3, 1 / 3, 1 / 3],
                                atol=1e-15)
     rng = np.random.default_rng(11)
     pts = random_barycentric(rng, 100)
-    np.testing.assert_allclose(dual_basis_values(pts).sum(axis=1), 1.0, atol=1e-12)
+    np.testing.assert_allclose(DualBasis().values(pts).sum(axis=1), 1.0, atol=1e-12)
 
 
 def test_dual_basis_scaling():

@@ -5,7 +5,6 @@ from trifield.mesh import (
     Mesh,
     all_element_geometry,
     build_structured_unit_square,
-    element_geometry,
     prolongation,
     write_mesh_files,
 )
@@ -79,9 +78,9 @@ def test_normals_point_outward_from_owner(n):
 
 def test_element_geometry_structured_area():
     mesh = build_structured_unit_square(2)
-    for t in range(mesh.num_triangles):
-        geom = element_geometry(mesh, t)
-        assert abs(geom.area - 0.125) < 1e-15
+    areas, _ = all_element_geometry(mesh)
+    assert areas.shape == (mesh.num_triangles,)
+    np.testing.assert_allclose(areas, 0.125, rtol=0, atol=1e-15)
 
 
 def test_element_geometry_reference_triangle():
@@ -95,10 +94,11 @@ def test_element_geometry_reference_triangle():
         boundary_length=np.empty(0),
         level=0,
     )
-    geom = element_geometry(mesh, 0)
-    np.testing.assert_allclose(geom.grad_lambda[0], [-1.0, -1.0], atol=1e-15)
-    np.testing.assert_allclose(geom.grad_lambda[1], [1.0, 0.0], atol=1e-15)
-    np.testing.assert_allclose(geom.grad_lambda[2], [0.0, 1.0], atol=1e-15)
+    areas, grads = all_element_geometry(mesh)
+    assert areas[0] == 0.5
+    np.testing.assert_allclose(grads[0, 0], [-1.0, -1.0], atol=1e-15)
+    np.testing.assert_allclose(grads[0, 1], [1.0, 0.0], atol=1e-15)
+    np.testing.assert_allclose(grads[0, 2], [0.0, 1.0], atol=1e-15)
 
 
 @pytest.mark.parametrize("n", [1, 3, 6])
@@ -110,12 +110,17 @@ def test_barycentric_gradients_sum_to_zero(n):
 
 @pytest.mark.parametrize("n", [1, 3, 7])
 def test_element_geometry_is_row_of_all_element_geometry(n):
+    # row t against the geometry of triangle t computed on its own: the
+    # barycentric gradients are the rows of the inverse edge-vector matrix
     mesh = build_structured_unit_square(n)
     areas, grads = all_element_geometry(mesh)
     for t in sorted({0, 1, mesh.num_triangles // 2, mesh.num_triangles - 1}):
-        geom = element_geometry(mesh, t)
-        assert geom.area == areas[t]
-        np.testing.assert_array_equal(geom.grad_lambda, grads[t])
+        p0, p1, p2 = mesh.vertices[mesh.triangles[t]]
+        jac = np.column_stack([p1 - p0, p2 - p0])
+        assert abs(areas[t] - 0.5 * np.linalg.det(jac)) < 1e-15
+        inv = np.linalg.inv(jac)  # rows: grad lambda_1, grad lambda_2
+        want = np.vstack([-inv.sum(axis=0), inv])
+        np.testing.assert_allclose(grads[t], want, rtol=1e-13, atol=1e-12)
 
 
 def test_element_geometry_is_cached_and_read_only():
@@ -123,7 +128,6 @@ def test_element_geometry_is_cached_and_read_only():
     areas, grads = all_element_geometry(mesh)
     again = all_element_geometry(mesh)
     assert again[0] is areas and again[1] is grads
-    assert element_geometry(mesh, 5).grad_lambda.base is grads
     for arr in (areas, grads):
         with pytest.raises(ValueError):
             arr[0] = 1.0
@@ -179,14 +183,6 @@ def test_numbering_matches_loop_built_reference(n):
         got = getattr(mesh, name)
         assert got.dtype == want.dtype, name
         np.testing.assert_array_equal(got, want, err_msg=name)
-
-
-def test_element_geometry_rejects_bad_index():
-    mesh = build_structured_unit_square(2)
-    with pytest.raises(IndexError):
-        element_geometry(mesh, 8)
-    with pytest.raises(IndexError):
-        element_geometry(mesh, -1)
 
 
 def test_mesh_is_immutable():
