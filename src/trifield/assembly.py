@@ -34,7 +34,7 @@ from .femcore import (
     triangle_quadrature,
 )
 from .linsolve import canonical
-from .mesh import Mesh, all_element_geometry
+from .mesh import Mesh, all_element_geometry, p1_pattern
 from .problems import ProblemData
 
 
@@ -59,10 +59,12 @@ class BlockSystem:
         self.f2.flags.writeable = False
 
 
-def _element_triplet_pattern(triangles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    rows = np.repeat(triangles, 3, axis=1).ravel()
-    cols = np.tile(triangles, (1, 3)).ravel()
-    return rows, cols
+def _on_pattern(mesh: Mesh, local: np.ndarray) -> scipy.sparse.csr_array:
+    """Sum element matrices (T, 3, 3) onto the mesh's P1 pattern (not canonical)."""
+    indptr, indices, slot = p1_pattern(mesh)
+    data = np.bincount(slot, weights=local.ravel(), minlength=indices.size)
+    nvert = mesh.num_vertices
+    return scipy.sparse.csr_array((data, indices, indptr), shape=(nvert, nvert))
 
 
 def assemble(
@@ -90,33 +92,35 @@ def assemble(
     mu = dual.values(rule.points)          # (q, 3)
     scale = 2.0 * areas                    # reference weights sum to 1/2
 
+    # each volume block is canonicalised as soon as it is summed, so that
+    # no element array outlives the block it builds
+
     # stiffness: constant gradients, quadrature reduces to the area factor
-    s_loc = np.einsum("tad,tbd->tab", grads, grads) * areas[:, None, None]
+    s_mat = canonical(_on_pattern(
+        mesh, np.einsum("tad,tbd->tab", grads, grads) * areas[:, None, None]
+    ))
 
-    # scalar mass and dual pairing
+    # scalar mass m, stacked into the vector mass diag(m, m): the second
+    # copy's columns shift by N and its row pointers by nnz(m)
     mass_ref = np.einsum("q,qa,qb->ab", w, shp, shp)
-    m_loc = scale[:, None, None] * mass_ref
+    m = canonical(_on_pattern(mesh, scale[:, None, None] * mass_ref))
+    m_mat = canonical(scipy.sparse.csr_array(
+        (np.tile(m.data, 2), np.concatenate([m.indices, m.indices + nvert]),
+         np.concatenate([m.indptr, m.indptr[1:] + m.nnz])),
+        shape=(2 * nvert, 2 * nvert),
+    ))
+
+    # dual pairing: diagonal by biorthogonality
     d_loc = scale[:, None] * np.einsum("q,qa,qa->a", w, shp, mu)
-
-    # gradient against dual functions: grad(rho_a) is constant, so only
-    # the dual moments 2|T| * sum_q w_q mu_b(q) enter
-    mu_moment = scale[:, None] * (w @ mu)  # (T, 3)
-    b_loc = np.einsum("tac,tb->tcab", grads, mu_moment)  # (T, 2, 3, 3)
-
-    rows, cols = _element_triplet_pattern(tri)
-    s_mat = scipy.sparse.coo_array((s_loc.ravel(), (rows, cols)), shape=(nvert, nvert))
-    m_scalar = canonical(
-        scipy.sparse.coo_array((m_loc.ravel(), (rows, cols)), shape=(nvert, nvert))
-    )
-    m_mat = scipy.sparse.block_diag((m_scalar, m_scalar), format="csr")
-
     d_diag = np.zeros(nvert)
     np.add.at(d_diag, tri.ravel(), d_loc.ravel())
 
-    b_rows = np.concatenate([rows, rows])
-    b_cols = np.concatenate([cols, nvert + cols])
-    b_vals = np.concatenate([b_loc[:, 0].ravel(), b_loc[:, 1].ravel()])
-    b_mat = scipy.sparse.coo_array((b_vals, (b_rows, b_cols)), shape=(nvert, 2 * nvert))
+    # gradient against dual functions: grad(rho_a) is constant, so only
+    # the dual moments 2|T| * sum_q w_q mu_b(q) enter; B = [B_x, B_y]
+    mu_moment = scale[:, None] * (w @ mu)  # (T, 3)
+    b_mat = canonical(scipy.sparse.hstack([
+        _on_pattern(mesh, grads[:, :, c, None] * mu_moment[:, None, :]) for c in range(2)
+    ], format="csr"))
 
     # boundary terms
     erule = edge_quadrature(P1_EDGE_DEGREE)
@@ -167,11 +171,11 @@ def assemble(
     np.add.at(f2, nvert + bedges, normals[:, 1:2] * flux_data)
 
     return BlockSystem(
-        S=canonical(s_mat),
-        M=canonical(m_mat),
+        S=s_mat,
+        M=m_mat,
         D=np.concatenate([d_diag, d_diag]),
         A=canonical(a_mat),
-        B=canonical(b_mat),
+        B=b_mat,
         C=canonical(c_mat),
         f1=f1,
         f2=f2,
@@ -207,13 +211,10 @@ def dual_pairing_matrix(mesh: Mesh, dual: DualBasis | None = None) -> scipy.spar
     couplings makes that a measurable property rather than an assumption.
     """
     dual = dual or DualBasis()
-    nvert = mesh.num_vertices
     areas, _ = all_element_geometry(mesh)
     rule = triangle_quadrature(P1_TRI_DEGREE)
     mu = dual.values(rule.points)
     loc = (2.0 * areas)[:, None, None] * np.einsum(
         "q,qa,qb->ab", rule.weights, rule.points, mu
     )
-    rows, cols = _element_triplet_pattern(mesh.triangles)
-    pairing = scipy.sparse.coo_array((loc.ravel(), (rows, cols)), shape=(nvert, nvert))
-    return canonical(pairing)
+    return canonical(_on_pattern(mesh, loc))

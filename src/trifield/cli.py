@@ -392,6 +392,10 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = config_from_args(args)
+        exporting = args.export_mesh is not None or args.export_matrices is not None
+        if args.oracle and exporting:
+            raise ConfigError("--export-mesh and --export-matrices apply to studies, "
+                              "not to --oracle")
         if args.oracle:
             check = run_oracle_check(config)
         else:

@@ -48,19 +48,33 @@ def _dinv(blocks: BlockSystem) -> np.ndarray:
     return 1.0 / blocks.D
 
 
+def _check_alpha(blocks: BlockSystem, alpha: float) -> None:
+    # f1 carries the penalty-weighted Dirichlet data of the assembly alpha
+    if alpha != blocks.alpha:
+        raise ValueError(f"penalty weight alpha = {alpha} differs from the "
+                         f"alpha = {blocks.alpha} the blocks were assembled with")
+
+
 def condense(blocks: BlockSystem, r: float, alpha: float) -> CondensedSystem:
     """Eliminate the gradient and multiplier blocks into K x_u = F.
 
     With G = B D^-1 A^T and H = B D^-1 M D^-1 B^T, K = (1-r) S + alpha C
-    - G - G^T + r H: B D^-1 is formed once, and K is canonicalised once.
+    - G - G^T + r H: B D^-1 is formed once, the 7-point terms are summed
+    first, H is scaled in place and added once, and K is canonicalised
+    once. alpha must be the one the blocks were assembled with.
     """
     _check_r(r)
+    _check_alpha(blocks, alpha)
     dinv = _dinv(blocks)
 
     b_dinv = blocks.B @ scipy.sparse.diags_array(dinv)
     g = b_dinv @ blocks.A.T
+    local = (1.0 - r) * blocks.S + alpha * blocks.C - g - g.T
+    # (B D^-1 M) D^-1 B^T: the other association rounds differently
     h = b_dinv @ blocks.M @ b_dinv.T
-    k = (1.0 - r) * blocks.S + alpha * blocks.C - g - g.T + r * h
+    h.data *= r
+    k = h + local
+    del h
 
     f = blocks.f1 - b_dinv @ blocks.f2
     return CondensedSystem(K=canonical(k), F=f, r=r, alpha=alpha)
@@ -90,8 +104,10 @@ def solve_full_saddle(
     """Solve the uncondensed block system directly (verification oracle).
 
     Desk-scale only: builds the dense 5N x 5N operator and factorises it.
+    alpha must be the one the blocks were assembled with.
     """
     _check_r(r)
+    _check_alpha(blocks, alpha)
     n = blocks.n_primal
     if 5 * n > _FULL_SOLVE_LIMIT:
         raise ValueError(

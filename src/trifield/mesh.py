@@ -4,9 +4,11 @@ The grid is n x n square cells, each cut along the lower-left to
 upper-right diagonal, giving 2*n^2 counterclockwise triangles. Vertices
 are numbered row-major (x fastest). Boundary edges carry their owning
 triangle, the outward unit normal of the square and the edge length h_e,
-which the edge-wise boundary norms and the Nitsche terms need. Halving
-the grid nests the triangulations, and `prolongation` gives the exact P1
-interpolation between two nested levels.
+which the edge-wise boundary norms and the Nitsche terms need. The
+element geometry and the P1 sparsity pattern that assembly sums onto are
+computed once per mesh, on first use. Halving the grid nests the
+triangulations, and `prolongation` gives the exact P1 interpolation
+between two nested levels.
 """
 
 from __future__ import annotations
@@ -56,6 +58,27 @@ class Mesh:
         areas.flags.writeable = False
         grads.flags.writeable = False
         return areas, grads
+
+    @cached_property
+    def _p1_pattern(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        nvert = self.num_vertices
+        tri = self.triangles.astype(np.int64, copy=False)
+        # key of local entry (t, a, b) at flat index 9t + 3a + b
+        keys = (tri[:, :, None] * nvert + tri[:, None, :]).ravel()
+        order = np.argsort(keys, kind="stable")  # faster than quicksort here
+        keys = keys[order]
+        first = np.empty(keys.size, dtype=bool)
+        first[:1] = True
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        slot = np.empty(keys.size, dtype=np.int32)
+        slot[order] = np.cumsum(first, dtype=np.int32) - 1
+        keys = keys[first]
+        indices = (keys % nvert).astype(np.int32)
+        indptr = np.zeros(nvert + 1, dtype=np.int32)
+        np.cumsum(np.bincount(keys // nvert, minlength=nvert), out=indptr[1:])
+        for arr in (indptr, indices, slot):
+            arr.flags.writeable = False
+        return indptr, indices, slot
 
     @property
     def num_vertices(self) -> int:
@@ -126,6 +149,22 @@ def all_element_geometry(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
     later call returns the same objects.
     """
     return mesh._geometry
+
+
+def p1_pattern(mesh: Mesh) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """CSR pattern (indptr, indices) of the P1 vertex adjacency, and the slot map.
+
+    Row i holds every vertex that shares a triangle with vertex i, itself
+    included, with column indices sorted. slot[9t + 3a + b] is the index
+    into the pattern's data of the entry coupling local vertices a and b
+    of triangle t, so an element matrix array (T, 3, 3) assembles as
+    `np.bincount(slot, local.ravel(), minlength=indices.size)`, which
+    sums the contributions to each entry in element order. Entries that
+    cancel stay in the pattern as stored zeros. Built for any
+    triangulation on the first call and kept on the mesh; the int32
+    arrays are read-only and every later call returns the same objects.
+    """
+    return mesh._p1_pattern
 
 
 def prolongation(n_coarse: int) -> scipy.sparse.csr_array:

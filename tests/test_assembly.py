@@ -7,6 +7,8 @@ reproduce them as quadratic forms.
 
 import numpy as np
 import pytest
+import scipy.linalg
+from test_mesh import shuffled
 
 from trifield.assembly import (
     assemble,
@@ -14,6 +16,7 @@ from trifield.assembly import (
     dual_pairing_matrix,
 )
 from trifield.femcore import DualBasis, edge_quadrature, triangle_quadrature
+from trifield.linsolve import canonical
 from trifield.mesh import all_element_geometry, build_structured_unit_square
 from trifield.problems import example1, example2, linear_patch
 
@@ -105,6 +108,17 @@ def eval_penalty(mesh, u_dofs, v_dofs):
     return total
 
 
+def triplet_reference(mesh, local):
+    """Dense sum of element matrices (T, 3, 3) built from COO triplets
+    (tri[t, a], tri[t, b], local[t, a, b]), added in triplet order."""
+    tri = mesh.triangles
+    rows = np.repeat(tri, 3, axis=1).ravel()
+    cols = np.tile(tri, (1, 3)).ravel()
+    dense = np.zeros((mesh.num_vertices, mesh.num_vertices))
+    np.add.at(dense, (rows, cols), local.ravel())
+    return dense
+
+
 def boundary_vertex_mask(mesh):
     x, y = mesh.vertices[:, 0], mesh.vertices[:, 1]
     return (x == 0.0) | (x == 1.0) | (y == 0.0) | (y == 1.0)
@@ -190,6 +204,55 @@ def test_biorthogonality_of_assembled_pairing(n):
     for t, tri in enumerate(mesh.triangles):
         want[tri] += areas[t] / 3.0
     np.testing.assert_allclose(diag, want, rtol=1e-13)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 16])
+def test_volume_blocks_match_triplet_reference_bitwise(n):
+    # the pattern sums each entry's contributions in element order, as the
+    # triplet reference does, so the blocks agree to the last bit
+    mesh = build_structured_unit_square(n)
+    blocks = assemble(mesh, example2(), alpha=10.0)
+    areas, grads = all_element_geometry(mesh)
+    rule = triangle_quadrature(2)
+    w, lam = rule.weights, rule.points
+    mu = DualBasis().values(lam)
+    scale = 2.0 * areas
+    moment = scale[:, None] * (w @ mu)
+    mass = triplet_reference(mesh, scale[:, None, None] * np.einsum("q,qa,qb->ab", w, lam, lam))
+    want = {
+        "S": triplet_reference(
+            mesh, np.einsum("tad,tbd->tab", grads, grads) * areas[:, None, None]
+        ),
+        "M": scipy.linalg.block_diag(mass, mass),
+        "B": np.hstack([
+            triplet_reference(mesh, np.einsum("ta,tb->tab", grads[:, :, c], moment))
+            for c in range(2)
+        ]),
+        "pairing": triplet_reference(
+            mesh, scale[:, None, None] * np.einsum("q,qa,qb->ab", w, lam, mu)
+        ),
+    }
+    got = {name: getattr(blocks, name) for name in "SMB"}
+    got["pairing"] = dual_pairing_matrix(mesh)
+    for name, dense in want.items():
+        ref = canonical(dense)
+        for part in ("indptr", "indices", "data"):
+            np.testing.assert_array_equal(
+                getattr(got[name], part), getattr(ref, part), err_msg=f"{name}.{part}"
+            )
+
+
+@pytest.mark.parametrize("n", [5, 16])
+def test_triangle_order_does_not_change_the_blocks(n):
+    mesh = build_structured_unit_square(n)
+    want = assemble(mesh, example2(), alpha=10.0)
+    got = assemble(shuffled(mesh, seed=n), example2(), alpha=10.0)
+    for name in ("S", "M", "A", "B", "C"):
+        diff = abs(getattr(got, name) - getattr(want, name)).max()
+        assert diff <= 1e-15 * abs(getattr(want, name)).max(), name
+    for name in ("D", "f1", "f2"):
+        diff = np.abs(getattr(got, name) - getattr(want, name)).max()
+        assert diff <= 1e-15 * np.abs(getattr(want, name)).max(), name
 
 
 def test_scaled_dual_basis_scales_pairing():

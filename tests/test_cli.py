@@ -217,6 +217,15 @@ def test_main_oracle_mode(capsys):
     assert "oracle check: PASS" in out
 
 
+def test_main_oracle_rejects_exports(tmp_path, capsys):
+    mesh_dir, mat_dir = tmp_path / "D", tmp_path / "E"
+    for exports in (["--export-mesh", str(mesh_dir)], ["--export-matrices", str(mat_dir)],
+                    ["--export-mesh", str(mesh_dir), "--export-matrices", str(mat_dir)]):
+        assert main(["--levels", "2,4", "--oracle", *exports]) == 2
+        assert "apply to studies" in capsys.readouterr().err
+    assert not mesh_dir.exists() and not mat_dir.exists()
+
+
 def test_exports(tmp_path):
     mesh_dir = tmp_path / "mesh"
     mat_dir = tmp_path / "mat"

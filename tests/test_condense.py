@@ -120,6 +120,19 @@ def test_condense_rejects_bad_parameters():
             condense(blocks, bad_r, ALPHA)
 
 
+def test_condense_rejects_a_mismatched_alpha():
+    # F would carry the penalty data of alpha = 10 and K the penalty 100
+    blocks = assemble(build_structured_unit_square(2), example2(), 10.0)
+    with pytest.raises(ValueError, match=r"alpha = 100\.0 .* alpha = 10\.0"):
+        condense(blocks, R, 100.0)
+
+
+def test_full_saddle_rejects_a_mismatched_alpha():
+    blocks = assemble(build_structured_unit_square(2), example2(), 10.0)
+    with pytest.raises(ValueError, match=r"alpha = 0\.0 .* alpha = 10\.0"):
+        solve_full_saddle(blocks, R, 0.0)
+
+
 def test_condense_rejects_broken_biorthogonality():
     mesh = build_structured_unit_square(1)
     blocks = assemble(mesh, example1(), ALPHA)

@@ -5,6 +5,7 @@ from trifield.mesh import (
     Mesh,
     all_element_geometry,
     build_structured_unit_square,
+    p1_pattern,
     prolongation,
     write_mesh_files,
 )
@@ -146,6 +147,68 @@ def test_degenerate_mesh_is_rejected_by_geometry():
     for _ in range(2):  # a failed computation is not cached
         with pytest.raises(ValueError):
             all_element_geometry(mesh)
+
+
+def test_p1_pattern_is_cached_read_only_and_sorted():
+    mesh = build_structured_unit_square(5)
+    indptr, indices, slot = p1_pattern(mesh)
+    again = p1_pattern(mesh)
+    assert all(x is y for x, y in zip(again, (indptr, indices, slot)))
+    for arr in (indptr, indices, slot):
+        assert arr.dtype == np.int32
+        with pytest.raises(ValueError):
+            arr[0] = 1
+    assert slot.shape == (9 * mesh.num_triangles,)
+    assert indptr[0] == 0 and indptr[-1] == indices.size
+    for i in range(mesh.num_vertices):
+        row = indices[indptr[i]:indptr[i + 1]]
+        assert np.all(np.diff(row) > 0), i
+        assert i in row, i
+
+
+def shuffled(mesh, seed):
+    """The same triangulation with its triangles permuted and each one's
+    vertices cyclically rotated (orientation kept)."""
+    rng = np.random.default_rng(seed)
+    perm = rng.permutation(mesh.num_triangles)
+    shift = rng.integers(0, 3, mesh.num_triangles)
+    local = (np.arange(3)[None, :] + shift[:, None]) % 3
+    triangles = np.take_along_axis(mesh.triangles[perm], local, axis=1)
+    owner = np.argsort(perm)[mesh.boundary_owner]
+    return Mesh(
+        vertices=mesh.vertices,
+        triangles=triangles,
+        boundary_edges=mesh.boundary_edges,
+        boundary_owner=owner,
+        boundary_normal=mesh.boundary_normal,
+        boundary_length=mesh.boundary_length,
+        level=mesh.level,
+    )
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 16])
+@pytest.mark.parametrize("seed", [None, 0])
+def test_p1_slot_map_round_trips(n, seed):
+    # the slot of entry id 9t + 3a + b holds (tri[t, a], tri[t, b]), and
+    # scattering the entry ids through the slot map hits every pattern
+    # entry: the pattern is exactly the vertex adjacency, whatever the
+    # order of the triangles and of their vertices
+    mesh = build_structured_unit_square(n)
+    if seed is not None:
+        structured = p1_pattern(mesh)
+        mesh = shuffled(mesh, seed)
+    indptr, indices, slot = p1_pattern(mesh)
+    if seed is not None:
+        np.testing.assert_array_equal(indptr, structured[0])
+        np.testing.assert_array_equal(indices, structured[1])
+    entry = np.arange(slot.size)
+    t, a, b = entry // 9, entry // 3 % 3, entry % 3
+    rows = np.repeat(np.arange(mesh.num_vertices), np.diff(indptr))
+    np.testing.assert_array_equal(rows[slot], mesh.triangles[t, a])
+    np.testing.assert_array_equal(indices[slot], mesh.triangles[t, b])
+    owner = np.full(indices.size, -1)
+    owner[slot] = entry
+    assert np.all(owner >= 0)
 
 
 def loop_built_square(n):
