@@ -1,10 +1,11 @@
 """Assembly of the block saddle-point system.
 
-Six matrices and two load vectors: stiffness S, vector mass M, diagonal
-dual pairing D, Nitsche boundary coupling A, gradient-multiplier
-coupling B, boundary penalty C, and the loads f1 (domain source plus
-penalty-weighted Dirichlet data) and f2 (normal-flux pairing with the
-Dirichlet data).
+Six matrices and three load vectors: stiffness S, vector mass M,
+diagonal dual pairing D, Nitsche boundary coupling A, gradient-multiplier
+coupling B, boundary penalty C, and the loads f1_source (domain source),
+f1_penalty (Dirichlet data against the edge traces) and f2 (normal-flux
+pairing with the Dirichlet data). None depends on the weights r and
+alpha: `condense` forms the first-row load f1_source + alpha f1_penalty.
 
 Vector-valued degrees of freedom are two stacked scalar blocks: dof
 (c, j) of component c lives at index c*N + j. Dirichlet data is
@@ -40,7 +41,7 @@ from .problems import ProblemData
 
 @dataclass(frozen=True)
 class BlockSystem:
-    """Assembled matrices and loads of the three-field formulation."""
+    """Assembled matrices and loads, free of the weights r and alpha."""
 
     S: scipy.sparse.csr_array  # N x N stiffness
     M: scipy.sparse.csr_array  # 2N x 2N vector mass (block-diagonal)
@@ -48,15 +49,18 @@ class BlockSystem:
     A: scipy.sparse.csr_array  # N x 2N Nitsche boundary coupling
     B: scipy.sparse.csr_array  # N x 2N gradient-multiplier coupling
     C: scipy.sparse.csr_array  # N x N boundary penalty
-    f1: np.ndarray             # length N
+    f1_source: np.ndarray      # length N, domain source
+    f1_penalty: np.ndarray     # length N, Dirichlet data against edge traces
     f2: np.ndarray             # length 2N
     n_primal: int              # number of scalar (vertex) dofs
-    alpha: float
 
     def __post_init__(self):
-        self.D.flags.writeable = False
-        self.f1.flags.writeable = False
-        self.f2.flags.writeable = False
+        for vec in (self.D, self.f1_source, self.f1_penalty, self.f2):
+            vec.flags.writeable = False
+
+    def f1(self, alpha: float) -> np.ndarray:
+        """First-row load for the boundary penalty weight alpha."""
+        return self.f1_source + alpha * self.f1_penalty
 
 
 def _on_pattern(mesh: Mesh, local: np.ndarray) -> scipy.sparse.csr_array:
@@ -70,17 +74,13 @@ def _on_pattern(mesh: Mesh, local: np.ndarray) -> scipy.sparse.csr_array:
 def assemble(
     mesh: Mesh,
     data: ProblemData,
-    alpha: float,
     dual: DualBasis | None = None,
 ) -> BlockSystem:
     """Assemble all blocks of the saddle-point system on the given mesh.
 
-    alpha is the boundary penalty weight. Passing a rescaled DualBasis
-    rescales D and B together, which leaves the condensed problem
-    invariant.
+    Passing a rescaled DualBasis rescales D and B together, which leaves
+    the condensed problem invariant.
     """
-    if not 0.0 <= alpha < np.inf:
-        raise ValueError(f"penalty weight must be finite and nonnegative, got {alpha}")
     dual = dual or DualBasis()
     nvert = mesh.num_vertices
     tri = mesh.triangles
@@ -95,10 +95,13 @@ def assemble(
     # each volume block is canonicalised as soon as it is summed, so that
     # no element array outlives the block it builds
 
-    # stiffness: constant gradients, quadrature reduces to the area factor
-    s_mat = canonical(_on_pattern(
-        mesh, np.einsum("tad,tbd->tab", grads, grads) * areas[:, None, None]
-    ))
+    # stiffness: constant gradients, quadrature reduces to the area factor;
+    # formed in place, so that at most two (T, 3, 3) arrays are alive
+    s_loc = grads[:, :, None, 0] * grads[:, None, :, 0]
+    s_loc += grads[:, :, None, 1] * grads[:, None, :, 1]
+    s_loc *= areas[:, None, None]
+    s_mat = canonical(_on_pattern(mesh, s_loc))
+    del s_loc
 
     # scalar mass m, stacked into the vector mass diag(m, m): the second
     # copy's columns shift by N and its row pointers by nnz(m)
@@ -153,8 +156,8 @@ def assemble(
     f1_loc = np.empty((len(tri), 3))
     for blk, x, y in quadrature_blocks(mesh, lrule):
         f1_loc[blk] = scale[blk, None] * ((data.f(x, y) * lrule.weights) @ lrule.points)
-    f1 = np.zeros(nvert)
-    np.add.at(f1, tri, f1_loc)
+    f1_source = np.zeros(nvert)
+    np.add.at(f1_source, tri, f1_loc)
 
     lerule = edge_quadrature(DATA_EDGE_DEGREE)
     ltr = edge_traces(lerule)
@@ -162,8 +165,9 @@ def assemble(
     g_vals = data.g_dirichlet(xk[..., 0], xk[..., 1])    # (E, k)
     edge_data = np.einsum("k,ek,kp->ep", lerule.weights, g_vals, ltr)  # (E, 2)
 
-    # penalty-weighted data: (1/h_e) * h_e cancels again
-    np.add.at(f1, bedges, alpha * edge_data)
+    # data against the penalty's traces: (1/h_e) * h_e cancels again
+    f1_penalty = np.zeros(nvert)
+    np.add.at(f1_penalty, bedges, edge_data)
 
     f2 = np.zeros(2 * nvert)
     flux_data = h_e[:, None] * edge_data
@@ -177,10 +181,10 @@ def assemble(
         A=canonical(a_mat),
         B=b_mat,
         C=canonical(c_mat),
-        f1=f1,
+        f1_source=f1_source,
+        f1_penalty=f1_penalty,
         f2=f2,
         n_primal=nvert,
-        alpha=alpha,
     )
 
 

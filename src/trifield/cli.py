@@ -169,8 +169,9 @@ class StudyResult:
 def solve_level(n: int, data: ProblemData, config: StudyConfig) -> LevelSolution:
     """Run the condensed pipeline at one refinement level."""
     mesh = build_structured_unit_square(n)
-    blocks = assemble(mesh, data, config.alpha)
-    if not (np.all(np.isfinite(blocks.f1)) and np.all(np.isfinite(blocks.f2))):
+    blocks = assemble(mesh, data)
+    if not all(np.all(np.isfinite(v))
+               for v in (blocks.f1_source, blocks.f1_penalty, blocks.f2)):
         raise ConfigError(
             f"loads at level n={n} are not finite; check the source and boundary data"
         )
@@ -393,9 +394,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = config_from_args(args)
         exporting = args.export_mesh is not None or args.export_matrices is not None
-        if args.oracle and exporting:
-            raise ConfigError("--export-mesh and --export-matrices apply to studies, "
-                              "not to --oracle")
+        if args.oracle and (exporting or args.format != "md"):
+            raise ConfigError("--export-mesh, --export-matrices and --format csv|json "
+                              "apply to studies, not to --oracle")
         if args.oracle:
             check = run_oracle_check(config)
         else:

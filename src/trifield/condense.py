@@ -4,11 +4,13 @@ The diagonal dual pairing D lets the gradient and multiplier unknowns
 be eliminated exactly:
 
     K = (1-r) S + alpha C - A D^-1 B^T - B D^-1 A^T + r B D^-1 M D^-1 B^T
-    F = f1 - B D^-1 f2
+    F = f1_source + alpha f1_penalty - B D^-1 f2
 
 after which x_sigma = D^-1 B^T x_u realises the biorthogonal projection
 of the gradient and x_phi = D^-1 (A^T x_u - r M x_sigma - f2) restores
-the multiplier. A dense solve of the full indefinite block system is
+the multiplier. The blocks are free of r and alpha: both weights enter
+here, in `condense` and `solve_full_saddle`, so one assembly serves any
+(r, alpha). A dense solve of the full indefinite block system is
 kept as a desk-scale verification oracle.
 """
 
@@ -36,9 +38,11 @@ class CondensedSystem:
         self.F.flags.writeable = False
 
 
-def _check_r(r: float) -> None:
+def _check_weights(r: float, alpha: float) -> None:
     if not 0.0 < r < 1.0:
         raise ValueError(f"stabilisation weight r must lie in (0, 1), got {r}")
+    if not 0.0 <= alpha < np.inf:
+        raise ValueError(f"penalty weight must be finite and nonnegative, got {alpha}")
 
 
 def _dinv(blocks: BlockSystem) -> np.ndarray:
@@ -48,23 +52,16 @@ def _dinv(blocks: BlockSystem) -> np.ndarray:
     return 1.0 / blocks.D
 
 
-def _check_alpha(blocks: BlockSystem, alpha: float) -> None:
-    # f1 carries the penalty-weighted Dirichlet data of the assembly alpha
-    if alpha != blocks.alpha:
-        raise ValueError(f"penalty weight alpha = {alpha} differs from the "
-                         f"alpha = {blocks.alpha} the blocks were assembled with")
-
-
 def condense(blocks: BlockSystem, r: float, alpha: float) -> CondensedSystem:
     """Eliminate the gradient and multiplier blocks into K x_u = F.
 
     With G = B D^-1 A^T and H = B D^-1 M D^-1 B^T, K = (1-r) S + alpha C
     - G - G^T + r H: B D^-1 is formed once, the 7-point terms are summed
     first, H is scaled in place and added once, and K is canonicalised
-    once. alpha must be the one the blocks were assembled with.
+    once. r and alpha may be any weights in range: the blocks carry
+    neither.
     """
-    _check_r(r)
-    _check_alpha(blocks, alpha)
+    _check_weights(r, alpha)
     dinv = _dinv(blocks)
 
     b_dinv = blocks.B @ scipy.sparse.diags_array(dinv)
@@ -76,7 +73,7 @@ def condense(blocks: BlockSystem, r: float, alpha: float) -> CondensedSystem:
     k = h + local
     del h
 
-    f = blocks.f1 - b_dinv @ blocks.f2
+    f = blocks.f1(alpha) - b_dinv @ blocks.f2
     return CondensedSystem(K=canonical(k), F=f, r=r, alpha=alpha)
 
 
@@ -104,10 +101,8 @@ def solve_full_saddle(
     """Solve the uncondensed block system directly (verification oracle).
 
     Desk-scale only: builds the dense 5N x 5N operator and factorises it.
-    alpha must be the one the blocks were assembled with.
     """
-    _check_r(r)
-    _check_alpha(blocks, alpha)
+    _check_weights(r, alpha)
     n = blocks.n_primal
     if 5 * n > _FULL_SOLVE_LIMIT:
         raise ValueError(
@@ -129,6 +124,6 @@ def solve_full_saddle(
             [-b.T, d, zero],
         ]
     )
-    rhs = np.concatenate([blocks.f1, -blocks.f2, np.zeros(2 * n)])
+    rhs = np.concatenate([blocks.f1(alpha), -blocks.f2, np.zeros(2 * n)])
     sol = dense_lu_solve(full, rhs)
     return sol[:n], sol[n : 3 * n], sol[3 * n :]

@@ -144,7 +144,7 @@ def test_criterion_7_structure_checks(study_ex1, study_ex2):
             all_converged = all_converged and sol.report.converged
 
     mesh = build_structured_unit_square(8)
-    blocks = assemble(mesh, example1(), alpha=0.0)
+    blocks = assemble(mesh, example1())
     degenerate = condense(blocks, R, alpha=0.0)
     _, bad_report = cg_solve(degenerate.K, degenerate.F, tol=1e-12, maxit=5000)
     negative_test = bad_report.indefinite or not bad_report.converged
@@ -161,8 +161,8 @@ def test_criterion_8_dual_scaling_invariance():
     gamma = 7.0
     mesh = build_structured_unit_square(4)
     data = example2()
-    plain = assemble(mesh, data, ALPHA)
-    scaled = assemble(mesh, data, ALPHA, dual=DualBasis().scaled(gamma))
+    plain = assemble(mesh, data)
+    scaled = assemble(mesh, data, dual=DualBasis().scaled(gamma))
 
     results = []
     for blocks in (plain, scaled):

@@ -82,14 +82,14 @@ def test_blocked_quadrature_matches_a_single_block(monkeypatch):
     # last block of 12, blocks of 512 cover the mesh at once
     mesh = build_structured_unit_square(16)
     data = example2()
-    blocks = assemble(mesh, data, 10.0)
+    blocks = assemble(mesh, data)
     system = condense(blocks, 0.5, 10.0)
     x_u, report = cg_solve(system.K, system.F)
     assert report.converged
     x_sigma = recover_sigma(blocks, x_u)
 
     def quantities():
-        return (assemble(mesh, data, 10.0).f1,
+        return (assemble(mesh, data).f1_source,
                 l2_error_u(mesh, x_u, data.exact_u),
                 h1h_error_u(mesh, x_u, data.exact_u, data.exact_grad_u),
                 l2_error_sigma(mesh, x_sigma, data.exact_grad_u))

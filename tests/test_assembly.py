@@ -127,7 +127,7 @@ def boundary_vertex_mask(mesh):
 @pytest.fixture(scope="module")
 def system_n3():
     mesh = build_structured_unit_square(3)
-    return mesh, assemble(mesh, example2(), alpha=10.0)
+    return mesh, assemble(mesh, example2())
 
 
 def _close(got, want, tol=1e-12):
@@ -211,7 +211,7 @@ def test_volume_blocks_match_triplet_reference_bitwise(n):
     # the pattern sums each entry's contributions in element order, as the
     # triplet reference does, so the blocks agree to the last bit
     mesh = build_structured_unit_square(n)
-    blocks = assemble(mesh, example2(), alpha=10.0)
+    blocks = assemble(mesh, example2())
     areas, grads = all_element_geometry(mesh)
     rule = triangle_quadrature(2)
     w, lam = rule.weights, rule.points
@@ -245,12 +245,12 @@ def test_volume_blocks_match_triplet_reference_bitwise(n):
 @pytest.mark.parametrize("n", [5, 16])
 def test_triangle_order_does_not_change_the_blocks(n):
     mesh = build_structured_unit_square(n)
-    want = assemble(mesh, example2(), alpha=10.0)
-    got = assemble(shuffled(mesh, seed=n), example2(), alpha=10.0)
+    want = assemble(mesh, example2())
+    got = assemble(shuffled(mesh, seed=n), example2())
     for name in ("S", "M", "A", "B", "C"):
         diff = abs(getattr(got, name) - getattr(want, name)).max()
         assert diff <= 1e-15 * abs(getattr(want, name)).max(), name
-    for name in ("D", "f1", "f2"):
+    for name in ("D", "f1_source", "f1_penalty", "f2"):
         diff = np.abs(getattr(got, name) - getattr(want, name)).max()
         assert diff <= 1e-15 * np.abs(getattr(want, name)).max(), name
 
@@ -264,14 +264,15 @@ def test_scaled_dual_basis_scales_pairing():
 
 def test_zero_data_gives_zero_loads():
     mesh = build_structured_unit_square(1)
-    blocks = assemble(mesh, linear_patch(0.0, 0.0, 0.0), alpha=10.0)
-    np.testing.assert_array_equal(blocks.f1, 0.0)
+    blocks = assemble(mesh, linear_patch(0.0, 0.0, 0.0))
+    np.testing.assert_array_equal(blocks.f1_source, 0.0)
+    np.testing.assert_array_equal(blocks.f1_penalty, 0.0)
     np.testing.assert_array_equal(blocks.f2, 0.0)
 
 
 def test_homogeneous_dirichlet_gives_zero_f2():
     mesh = build_structured_unit_square(2)
-    blocks = assemble(mesh, example1(), alpha=10.0)
+    blocks = assemble(mesh, example1())
     np.testing.assert_array_equal(blocks.f2, 0.0)
 
 
@@ -308,10 +309,3 @@ def test_constant_flux_closed_boundary_identity(system_n3):
     sigma = np.concatenate([np.ones(nvert), np.zeros(nvert)])
     ones = np.ones(nvert)
     assert abs(ones @ blocks.A @ sigma) <= 1e-12
-
-
-def test_assemble_rejects_negative_alpha():
-    mesh = build_structured_unit_square(1)
-    for alpha in (-1.0, np.inf, np.nan):
-        with pytest.raises(ValueError, match="finite and nonnegative"):
-            assemble(mesh, example1(), alpha=alpha)

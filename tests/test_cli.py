@@ -218,12 +218,13 @@ def test_main_oracle_mode(capsys):
 
 
 def test_main_oracle_rejects_exports(tmp_path, capsys):
-    mesh_dir, mat_dir = tmp_path / "D", tmp_path / "E"
+    mesh_dir, mat_dir, out = tmp_path / "D", tmp_path / "E", tmp_path / "report"
     for exports in (["--export-mesh", str(mesh_dir)], ["--export-matrices", str(mat_dir)],
-                    ["--export-mesh", str(mesh_dir), "--export-matrices", str(mat_dir)]):
-        assert main(["--levels", "2,4", "--oracle", *exports]) == 2
+                    ["--export-mesh", str(mesh_dir), "--export-matrices", str(mat_dir)],
+                    ["--format", "csv"], ["--format", "json"]):
+        assert main(["--levels", "2,4", "--oracle", "--out", str(out), *exports]) == 2
         assert "apply to studies" in capsys.readouterr().err
-    assert not mesh_dir.exists() and not mat_dir.exists()
+    assert not mesh_dir.exists() and not mat_dir.exists() and not out.exists()
 
 
 def test_exports(tmp_path):

@@ -36,13 +36,13 @@ def schur_eliminated(blocks, r, alpha):
     lower_inv = np.linalg.inv(lower)
     k = top - coupling @ lower_inv @ coupling.T
     rhs_tail = np.concatenate([-blocks.f2, np.zeros(2 * n)])
-    f = blocks.f1 - coupling @ lower_inv @ rhs_tail
+    f = blocks.f1(alpha) - coupling @ lower_inv @ rhs_tail
     return k, f
 
 
 def test_condensed_matrix_matches_block_elimination():
     mesh = build_structured_unit_square(2)
-    blocks = assemble(mesh, example2(), ALPHA)
+    blocks = assemble(mesh, example2())
     system = condense(blocks, R, ALPHA)
     k_oracle, f_oracle = schur_eliminated(blocks, R, ALPHA)
     k = system.K.toarray()
@@ -55,7 +55,7 @@ def test_condensed_matrix_matches_block_elimination():
 @example(n=8, r=R, alpha=ALPHA)
 def test_condensed_matrix_symmetry(n, r, alpha):
     mesh = build_structured_unit_square(n)
-    blocks = assemble(mesh, example1(), alpha)
+    blocks = assemble(mesh, example1())
     k = condense(blocks, r, alpha).K
     asym = scipy.sparse.linalg.norm(k - k.T, "fro") / scipy.sparse.linalg.norm(k, "fro")
     assert asym <= 1e-12
@@ -76,7 +76,7 @@ def four_product_k(blocks, r, alpha):
 
 @pytest.mark.parametrize("data", [example1(), example2()], ids=["ex1", "ex2"])
 def test_condensed_matrix_matches_four_product_formula(data):
-    blocks = assemble(build_structured_unit_square(8), data, ALPHA)
+    blocks = assemble(build_structured_unit_square(8), data)
     k = condense(blocks, R, ALPHA).K
     want = four_product_k(blocks, R, ALPHA)
     assert k.nnz == want.nnz
@@ -92,7 +92,7 @@ CANONICAL_NNZ_N16 = {"S": 1377, "M": 3778, "A": 196, "B": 3204, "C": 192, "K": 8
 
 @pytest.mark.parametrize("data", [example1(), example2()], ids=["ex1", "ex2"])
 def test_blocks_and_k_are_canonical(data):
-    blocks = assemble(build_structured_unit_square(16), data, ALPHA)
+    blocks = assemble(build_structured_unit_square(16), data)
     mats = {name: getattr(blocks, name) for name in "SMABC"}
     mats["K"] = condense(blocks, R, ALPHA).K
     for name, mat in mats.items():
@@ -107,35 +107,31 @@ def test_blocks_and_k_are_canonical(data):
 
 def test_homogeneous_dirichlet_load_is_f1():
     mesh = build_structured_unit_square(2)
-    blocks = assemble(mesh, example1(), ALPHA)  # g_D = 0 so f2 = 0
+    blocks = assemble(mesh, example1())  # g_D = 0 so f2 = 0
     system = condense(blocks, R, ALPHA)
-    np.testing.assert_array_equal(system.F, blocks.f1)
+    np.testing.assert_array_equal(system.F, blocks.f1(ALPHA))
 
 
 def test_condense_rejects_bad_parameters():
     mesh = build_structured_unit_square(1)
-    blocks = assemble(mesh, example1(), ALPHA)
+    blocks = assemble(mesh, example1())
     for bad_r in (0.0, 1.0, -0.3, 1.7):
         with pytest.raises(ValueError):
             condense(blocks, bad_r, ALPHA)
 
 
-def test_condense_rejects_a_mismatched_alpha():
-    # F would carry the penalty data of alpha = 10 and K the penalty 100
-    blocks = assemble(build_structured_unit_square(2), example2(), 10.0)
-    with pytest.raises(ValueError, match=r"alpha = 100\.0 .* alpha = 10\.0"):
-        condense(blocks, R, 100.0)
-
-
-def test_full_saddle_rejects_a_mismatched_alpha():
-    blocks = assemble(build_structured_unit_square(2), example2(), 10.0)
-    with pytest.raises(ValueError, match=r"alpha = 0\.0 .* alpha = 10\.0"):
-        solve_full_saddle(blocks, R, 0.0)
+def test_condense_and_full_saddle_check_the_penalty_range():
+    blocks = assemble(build_structured_unit_square(1), example2())
+    for solve in (condense, solve_full_saddle):
+        for alpha in (-1.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                solve(blocks, R, alpha)
+        solve(blocks, R, 0.0)
 
 
 def test_condense_rejects_broken_biorthogonality():
     mesh = build_structured_unit_square(1)
-    blocks = assemble(mesh, example1(), ALPHA)
+    blocks = assemble(mesh, example1())
     broken = blocks.D.copy()
     broken[0] = 0.0
     object.__setattr__(blocks, "D", broken)
@@ -146,7 +142,7 @@ def test_condense_rejects_broken_biorthogonality():
 def test_recover_sigma_reproduces_constant_gradient():
     # u = x has gradient (1, 0); the projection reproduces constants
     mesh = build_structured_unit_square(3)
-    blocks = assemble(mesh, linear_patch(0.0, 1.0, 0.0), ALPHA)
+    blocks = assemble(mesh, linear_patch(0.0, 1.0, 0.0))
     x_u = mesh.vertices[:, 0].copy()
     sigma = recover_sigma(blocks, x_u)
     nvert = mesh.num_vertices
@@ -156,7 +152,7 @@ def test_recover_sigma_reproduces_constant_gradient():
 
 def test_recover_sigma_zero_and_constraint_row():
     mesh = build_structured_unit_square(2)
-    blocks = assemble(mesh, example2(), ALPHA)
+    blocks = assemble(mesh, example2())
     np.testing.assert_array_equal(recover_sigma(blocks, np.zeros(blocks.n_primal)), 0.0)
 
     rng = np.random.default_rng(31)
@@ -170,7 +166,7 @@ def test_recover_sigma_zero_and_constraint_row():
 
 def test_recover_phi_satisfies_second_block_row():
     mesh = build_structured_unit_square(2)
-    blocks = assemble(mesh, example2(), ALPHA)
+    blocks = assemble(mesh, example2())
     rng = np.random.default_rng(37)
     x_u = rng.standard_normal(blocks.n_primal)
     sigma = recover_sigma(blocks, x_u)
@@ -184,7 +180,7 @@ def test_recover_phi_satisfies_second_block_row():
     assert np.abs(residual).max() <= 1e-12 * max(1.0, np.abs(x_u).max())
 
     # zero boundary data and zero primal field leave no multiplier
-    homogeneous = assemble(mesh, example1(), ALPHA)
+    homogeneous = assemble(mesh, example1())
     zero = np.zeros(homogeneous.n_primal)
     phi0 = recover_phi(homogeneous, zero, recover_sigma(homogeneous, zero), R)
     np.testing.assert_array_equal(phi0, 0.0)
@@ -192,7 +188,7 @@ def test_recover_phi_satisfies_second_block_row():
 
 def test_zero_data_gives_zero_solution():
     mesh = build_structured_unit_square(2)
-    blocks = assemble(mesh, linear_patch(0.0, 0.0, 0.0), ALPHA)
+    blocks = assemble(mesh, linear_patch(0.0, 0.0, 0.0))
     x_u, x_sigma, x_phi = solve_full_saddle(blocks, R, ALPHA)
     assert np.abs(x_u).max() < 1e-12
     assert np.abs(x_sigma).max() < 1e-12
@@ -201,21 +197,23 @@ def test_zero_data_gives_zero_solution():
 
 def test_interpolant_of_linear_solution_solves_block_system():
     # Nitsche consistency: the exact interpolant satisfies the first
-    # block row once sigma and phi are recovered from it
+    # block row once sigma and phi are recovered from it, whatever the
+    # penalty that weights C and the penalty load
     mesh = build_structured_unit_square(4)
     data = linear_patch(1.0, 2.0, 3.0)
-    blocks = assemble(mesh, data, ALPHA)
+    blocks = assemble(mesh, data)
     x_u = data.exact_u(mesh.vertices[:, 0], mesh.vertices[:, 1])
     sigma = recover_sigma(blocks, x_u)
     phi = recover_phi(blocks, x_u, sigma, R)
-    top = (1.0 - R) * blocks.S + ALPHA * blocks.C
-    residual = (
-        top @ x_u
-        - blocks.A @ sigma
-        - blocks.B @ phi
-        - blocks.f1
-    )
-    assert np.abs(residual).max() <= 1e-12 * max(1.0, np.abs(blocks.f1).max())
+    for alpha in (ALPHA, 2.5, 100.0):
+        top = (1.0 - R) * blocks.S + alpha * blocks.C
+        residual = (
+            top @ x_u
+            - blocks.A @ sigma
+            - blocks.B @ phi
+            - blocks.f1(alpha)
+        )
+        assert np.abs(residual).max() <= 1e-12 * max(1.0, np.abs(blocks.f1(alpha)).max())
 
 
 #: zero or of any magnitude up to 5, subnormals included: CG scales the
@@ -232,7 +230,7 @@ PATCH_COEFF = st.one_of(st.just(0.0), st.floats(0.0, 5.0, exclude_min=True),
 def test_patch_solution_is_exact_interpolant(n, coeffs):
     mesh = build_structured_unit_square(n)
     data = linear_patch(*coeffs)
-    blocks = assemble(mesh, data, ALPHA)
+    blocks = assemble(mesh, data)
     system = condense(blocks, R, ALPHA)
     x_u, report = cg_solve(system.K, system.F, tol=1e-14)
     assert report.converged
@@ -244,7 +242,7 @@ def test_patch_solution_is_exact_interpolant(n, coeffs):
 @pytest.mark.parametrize("n", [1, 2, 4])
 def test_condensed_solve_matches_full_saddle(n, data):
     mesh = build_structured_unit_square(n)
-    blocks = assemble(mesh, data, ALPHA)
+    blocks = assemble(mesh, data)
     system = condense(blocks, R, ALPHA)
     x_u, report = cg_solve(system.K, system.F, tol=1e-14)
     assert report.converged
@@ -260,9 +258,9 @@ def test_corrupted_load_formula_breaks_equivalence():
     # the elimination demands F = f1 - B D^-1 f2; the literal "B D f2"
     # variant must disagree with the full solve by O(1)
     mesh = build_structured_unit_square(2)
-    blocks = assemble(mesh, example2(), ALPHA)
+    blocks = assemble(mesh, example2())
     system = condense(blocks, R, ALPHA)
-    f_bad = blocks.f1 - blocks.B @ (blocks.D * blocks.f2)
+    f_bad = blocks.f1(ALPHA) - blocks.B @ (blocks.D * blocks.f2)
     x_bad, report = cg_solve(system.K, f_bad, tol=1e-14)
     assert report.converged
     full_u, _, _ = solve_full_saddle(blocks, R, ALPHA)
@@ -276,8 +274,8 @@ def test_corrupted_load_formula_breaks_equivalence():
 def test_dual_scaling_leaves_condensed_solution_invariant(gamma):
     mesh = build_structured_unit_square(2)
     data = example2()
-    plain = assemble(mesh, data, ALPHA)
-    scaled = assemble(mesh, data, ALPHA, dual=DualBasis().scaled(gamma))
+    plain = assemble(mesh, data)
+    scaled = assemble(mesh, data, dual=DualBasis().scaled(gamma))
     np.testing.assert_allclose(scaled.D, gamma * plain.D, rtol=1e-14)
 
     sys_plain = condense(plain, R, ALPHA)
@@ -302,7 +300,7 @@ def test_condensed_sparsity_stays_local():
     # every nonzero couples vertices at most three hops apart in the
     # element-adjacency graph (D^-1 never densifies K)
     mesh = build_structured_unit_square(4)
-    blocks = assemble(mesh, example1(), ALPHA)
+    blocks = assemble(mesh, example1())
     k = condense(blocks, R, ALPHA).K
 
     nvert = mesh.num_vertices
@@ -317,22 +315,43 @@ def test_condensed_sparsity_stays_local():
     assert all(reach[i, j] for i, j in zip(coo.row, coo.col))
 
     mesh8 = build_structured_unit_square(8)
-    k8 = condense(assemble(mesh8, example1(), ALPHA), R, ALPHA).K
+    k8 = condense(assemble(mesh8, example1()), R, ALPHA).K
     assert np.diff(k8.indptr).max() <= 40  # bounded stencil, no dense fill
 
 
 @pytest.mark.parametrize("n", [2, 4, 8])
 def test_condensed_operator_is_spd_for_valid_parameters(n):
     mesh = build_structured_unit_square(n)
-    blocks = assemble(mesh, example1(), ALPHA)
+    blocks = assemble(mesh, example1())
     system = condense(blocks, R, ALPHA)
     _, report = cg_solve(system.K, system.F, tol=1e-12)
     assert report.converged and not report.indefinite
 
 
+#: alpha_min(r) on example 1, bisected on the dense lambda_min(K): K is
+#: positive definite for alpha above it and indefinite below
+ALPHA_MIN = {4: {0.1: 1.1712, 0.5: 1.3493, 0.9: 1.7275},
+             8: {0.1: 1.1735, 0.5: 1.3516, 0.9: 1.8134}}
+
+
+@pytest.mark.parametrize("n", sorted(ALPHA_MIN))
+def test_coercivity_threshold_is_bracketed(n):
+    # one assembly serves every (r, alpha): both weights enter at condensation
+    blocks = assemble(build_structured_unit_square(n), example1())
+
+    def lambda_min(r, alpha):
+        return np.linalg.eigvalsh(condense(blocks, r, alpha).K.toarray())[0]
+
+    for r, alpha_min in ALPHA_MIN[n].items():
+        assert lambda_min(r, 0.97 * alpha_min) < 0.0 < lambda_min(r, 1.03 * alpha_min), r
+    # the weakest corner of the benchmark's sweep grid, and the default
+    assert lambda_min(0.9, 3.0) > 0.0
+    assert lambda_min(R, ALPHA) > 0.0
+
+
 def test_zero_penalty_destroys_definiteness():
     mesh = build_structured_unit_square(8)
-    blocks = assemble(mesh, example1(), alpha=0.0)
+    blocks = assemble(mesh, example1())
     system = condense(blocks, R, alpha=0.0)
     _, report = cg_solve(system.K, system.F, tol=1e-12, maxit=5000)
     assert report.indefinite or not report.converged
@@ -340,6 +359,6 @@ def test_zero_penalty_destroys_definiteness():
 
 def test_full_saddle_refuses_large_meshes():
     mesh = build_structured_unit_square(32)
-    blocks = assemble(mesh, example1(), ALPHA)
+    blocks = assemble(mesh, example1())
     with pytest.raises(ValueError):
         solve_full_saddle(blocks, R, ALPHA)

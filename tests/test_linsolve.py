@@ -182,7 +182,7 @@ def test_tiny_patch_load_is_not_reported_indefinite():
     # check took for an indefinite operator
     mesh = build_structured_unit_square(2)
     data = linear_patch(0.0, 0.0, 1.6e-159)
-    system = condense(assemble(mesh, data, 10.0), 0.5, 10.0)
+    system = condense(assemble(mesh, data), 0.5, 10.0)
     x_u, report = cg_solve(system.K, system.F, tol=1e-14)
     assert report.converged and not report.indefinite
     want = data.exact_u(mesh.vertices[:, 0], mesh.vertices[:, 1])

@@ -37,13 +37,14 @@ def _traced_peak(fn):
 
 def test_assembly_and_condensation_peaks_stay_near_their_outputs():
     data = example2()
-    assemble(build_structured_unit_square(2), data, 10.0)  # quadrature rules cached
+    assemble(build_structured_unit_square(2), data)  # quadrature rules cached
     mesh = build_structured_unit_square(N_LEVEL)
 
     # the geometry and pattern of the fresh mesh are built inside assemble
-    blocks, peak = _traced_peak(lambda: assemble(mesh, data, 10.0))
+    blocks, peak = _traced_peak(lambda: assemble(mesh, data))
     kept = sum(_csr_bytes(getattr(blocks, name)) for name in "SMABC")
-    kept += blocks.D.nbytes + blocks.f1.nbytes + blocks.f2.nbytes
+    kept += sum(getattr(blocks, name).nbytes
+                for name in ("D", "f1_source", "f1_penalty", "f2"))
     assert peak / kept <= ASSEMBLE_PEAK_RATIO, peak / kept
 
     system, peak = _traced_peak(lambda: condense(blocks, 0.5, 10.0))

@@ -25,7 +25,7 @@ R, ALPHA = 0.5, 10.0
 
 
 def condensed(n, data=example2, alpha=ALPHA):
-    blocks = assemble(build_structured_unit_square(n), data(), alpha)
+    blocks = assemble(build_structured_unit_square(n), data())
     return condense(blocks, R, alpha)
 
 
