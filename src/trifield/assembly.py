@@ -115,8 +115,7 @@ def assemble(
 
     # dual pairing: diagonal by biorthogonality
     d_loc = scale[:, None] * np.einsum("q,qa,qa->a", w, shp, mu)
-    d_diag = np.zeros(nvert)
-    np.add.at(d_diag, tri.ravel(), d_loc.ravel())
+    d_diag = np.bincount(tri.ravel(), d_loc.ravel(), minlength=nvert)
 
     # gradient against dual functions: grad(rho_a) is constant, so only
     # the dual moments 2|T| * sum_q w_q mu_b(q) enter; B = [B_x, B_y]
@@ -156,8 +155,7 @@ def assemble(
     f1_loc = np.empty((len(tri), 3))
     for blk, x, y in quadrature_blocks(mesh, lrule):
         f1_loc[blk] = scale[blk, None] * ((data.f(x, y) * lrule.weights) @ lrule.points)
-    f1_source = np.zeros(nvert)
-    np.add.at(f1_source, tri, f1_loc)
+    f1_source = np.bincount(tri.ravel(), f1_loc.ravel(), minlength=nvert)
 
     lerule = edge_quadrature(DATA_EDGE_DEGREE)
     ltr = edge_traces(lerule)
@@ -166,13 +164,12 @@ def assemble(
     edge_data = np.einsum("k,ek,kp->ep", lerule.weights, g_vals, ltr)  # (E, 2)
 
     # data against the penalty's traces: (1/h_e) * h_e cancels again
-    f1_penalty = np.zeros(nvert)
-    np.add.at(f1_penalty, bedges, edge_data)
+    f1_penalty = np.bincount(bedges.ravel(), edge_data.ravel(), minlength=nvert)
 
-    f2 = np.zeros(2 * nvert)
-    flux_data = h_e[:, None] * edge_data
-    np.add.at(f2, bedges, normals[:, 0:1] * flux_data)
-    np.add.at(f2, nvert + bedges, normals[:, 1:2] * flux_data)
+    # component c of the flux pairing sums onto the dofs c*N + vertex
+    flux_data = normals.T[:, :, None] * (h_e[:, None] * edge_data)  # (2, E, 2)
+    f2 = np.bincount((bedges + nvert * np.arange(2)[:, None, None]).ravel(),
+                     flux_data.ravel(), minlength=2 * nvert)
 
     return BlockSystem(
         S=s_mat,

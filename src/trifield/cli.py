@@ -327,43 +327,45 @@ def _export_artifacts(result: StudyResult, args: argparse.Namespace) -> None:
                 )
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="trifield",
-        description="Convergence study for the stabilised three-field Poisson solver "
-                    "with weak Dirichlet boundary conditions.",
-    )
-    parser.add_argument("--example", choices=("1", "2", "patch"), default="1",
-                        help="built-in problem to solve (default: 1)")
-    parser.add_argument("--levels", default="2,4,8,16,32,64",
-                        help="comma-separated refinement levels (default: 2,4,...,64)")
-    parser.add_argument("--r", type=float, default=0.5,
-                        help="stabilisation weight in (0,1) (default: 0.5)")
-    parser.add_argument("--alpha", type=float, default=10.0,
-                        help="boundary penalty weight (default: 10)")
-    parser.add_argument("--cg-tol", type=float, default=1e-12,
-                        help="relative CG residual tolerance (default: 1e-12)")
-    parser.add_argument("--cg-maxit", type=int, default=20000,
-                        help="CG iteration cap (default: 20000)")
-    parser.add_argument("--format", choices=("csv", "md", "json"), default="md",
-                        help="output format (default: md)")
-    parser.add_argument("--out", type=Path, default=None,
-                        help="write the report here instead of stdout")
-    parser.add_argument("--oracle", action="store_true",
-                        help="cross-check condensed vs full saddle solve "
-                             "(levels must all be <= 16)")
-    parser.add_argument("--export-matrices", type=Path, default=None, metavar="DIR",
-                        help="write assembled matrices in MatrixMarket format")
-    parser.add_argument("--export-mesh", type=Path, default=None, metavar="DIR",
-                        help="write plain-text node/element files")
-    return parser
-
-
 _EXAMPLE_TOKENS = {
     "1": ExampleId.EXAMPLE1,
     "2": ExampleId.EXAMPLE2,
     "patch": ExampleId.LINEAR_PATCH,
 }
+
+
+def build_parser() -> argparse.ArgumentParser:
+    defaults = StudyConfig()
+    example = next(tok for tok, ex in _EXAMPLE_TOKENS.items() if ex == defaults.example)
+    parser = argparse.ArgumentParser(
+        prog="trifield",
+        description="Convergence study for the stabilised three-field Poisson solver "
+                    "with weak Dirichlet boundary conditions.",
+    )
+    parser.add_argument("--example", choices=tuple(_EXAMPLE_TOKENS), default=example,
+                        help="built-in problem to solve (default: %(default)s)")
+    parser.add_argument("--levels", default=",".join(map(str, defaults.levels)),
+                        help="comma-separated refinement levels (default: %(default)s)")
+    parser.add_argument("--r", type=float, default=defaults.r,
+                        help="stabilisation weight in (0,1) (default: %(default)s)")
+    parser.add_argument("--alpha", type=float, default=defaults.alpha,
+                        help="boundary penalty weight (default: %(default)s)")
+    parser.add_argument("--cg-tol", type=float, default=defaults.cg_tol,
+                        help="relative CG residual tolerance (default: %(default)s)")
+    parser.add_argument("--cg-maxit", type=int, default=defaults.cg_maxit,
+                        help="CG iteration cap (default: %(default)s)")
+    parser.add_argument("--format", choices=("csv", "md", "json"), default="md",
+                        help="output format (default: %(default)s)")
+    parser.add_argument("--out", type=Path, default=None,
+                        help="write the report here instead of stdout")
+    parser.add_argument("--oracle", action="store_true",
+                        help="cross-check condensed vs full saddle solve "
+                             f"(levels must all be <= {ORACLE_MAX_LEVEL})")
+    parser.add_argument("--export-matrices", type=Path, default=None, metavar="DIR",
+                        help="write assembled matrices in MatrixMarket format")
+    parser.add_argument("--export-mesh", type=Path, default=None, metavar="DIR",
+                        help="write plain-text node/element files")
+    return parser
 
 
 def config_from_args(args: argparse.Namespace) -> StudyConfig:

@@ -1,14 +1,14 @@
-"""Structured triangulations of the unit square.
+"""Triangulations of the unit square.
 
-The grid is n x n square cells, each cut along the lower-left to
-upper-right diagonal, giving 2*n^2 counterclockwise triangles. Vertices
-are numbered row-major (x fastest). Boundary edges carry their owning
-triangle, the outward unit normal of the square and the edge length h_e,
-which the edge-wise boundary norms and the Nitsche terms need. The
-element geometry and the P1 sparsity pattern that assembly sums onto are
-computed once per mesh, on first use. Halving the grid nests the
-triangulations, and `prolongation` gives the exact P1 interpolation
-between two nested levels.
+A mesh is its vertices and counterclockwise triangles. The structured
+grid is n x n square cells, each cut along the lower-left to upper-right
+diagonal, giving 2*n^2 triangles with vertices numbered row-major (x
+fastest). The element geometry, the P1 sparsity pattern that assembly
+sums onto, and the boundary edges with their outward unit normals and
+lengths h_e (which the edge-wise boundary norms and the Nitsche terms
+need) are derived from the triangles once per mesh, on first use.
+Halving the grid nests the triangulations, and `prolongation` gives the
+exact P1 interpolation between two nested levels.
 """
 
 from __future__ import annotations
@@ -25,17 +25,17 @@ import scipy.sparse
 class Mesh:
     """Immutable triangulation of [0,1]^2 at refinement level n."""
 
-    vertices: np.ndarray        # (V, 2) float
-    triangles: np.ndarray       # (T, 3) int, counterclockwise
-    boundary_edges: np.ndarray  # (E, 2) int, endpoint vertex indices
-    boundary_owner: np.ndarray  # (E,) int, owning triangle index
-    boundary_normal: np.ndarray # (E, 2) float, outward unit normal
-    boundary_length: np.ndarray # (E,) float, edge length h_e
+    vertices: np.ndarray   # (V, 2) float
+    triangles: np.ndarray  # (T, 3) int, counterclockwise
     level: int
 
+    # derived from the triangles on first use, read-only
+    boundary_edges = property(lambda self: self._boundary[0])   # (E, 2) int, ccw in triangle
+    boundary_normal = property(lambda self: self._boundary[1])  # (E, 2) float, outward unit
+    boundary_length = property(lambda self: self._boundary[2])  # (E,) float, edge length h_e
+
     def __post_init__(self):
-        for arr in (self.vertices, self.triangles, self.boundary_edges,
-                    self.boundary_owner, self.boundary_normal, self.boundary_length):
+        for arr in (self.vertices, self.triangles):
             arr.flags.writeable = False
 
     @cached_property
@@ -80,6 +80,27 @@ class Mesh:
             arr.flags.writeable = False
         return indptr, indices, slot
 
+    @cached_property
+    def _boundary(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        self._geometry  # outward normals need counterclockwise triangles
+        _, indices, slot = self._p1_pattern
+        slot = slot.reshape(-1, 9)
+        # the edge a -> b of a triangle is interior when another triangle
+        # has the edge b -> a: mark the pattern entries (b, a) of all the
+        # local edges (0, 1), (1, 2), (2, 0), then look up the entries (a, b)
+        reversed_seen = np.zeros(indices.size, dtype=bool)
+        reversed_seen[slot[:, [3, 7, 2]]] = True
+        t, k = np.nonzero(~reversed_seen[slot[:, [1, 5, 6]]])
+        edges = np.column_stack([self.triangles[t, k], self.triangles[t, (k + 1) % 3]])
+        pa, pb = self.vertices[edges[:, 0]], self.vertices[edges[:, 1]]
+        lengths = np.linalg.norm(pb - pa, axis=1)
+        # (dy, -dx) / h_e, with -dx as x_a - x_b so that no zero is negative
+        normals = np.column_stack([pb[:, 1] - pa[:, 1], pa[:, 0] - pb[:, 0]])
+        normals /= lengths[:, None]
+        for arr in (edges, normals, lengths):
+            arr.flags.writeable = False
+        return edges, normals, lengths
+
     @property
     def num_vertices(self) -> int:
         return self.vertices.shape[0]
@@ -110,34 +131,7 @@ def build_structured_unit_square(n: int) -> Mesh:
     v11 = v01 + 1
     triangles = np.column_stack([v00, v10, v11, v00, v11, v01]).reshape(-1, 3)
 
-    # sides in the order bottom (y = 0), right (x = 1), top (y = 1), left
-    # (x = 0); edges run in the direction of increasing coordinate
-    k = np.arange(n, dtype=np.int64)
-    starts = np.concatenate([k, k * (n + 1) + n, n * (n + 1) + k, k * (n + 1)])
-    steps = np.repeat([1, n + 1, 1, n + 1], n)
-    boundary_edges = np.column_stack([starts, starts + steps])
-    boundary_owner = np.concatenate([
-        2 * k,                      # lower triangle of cell (k, 0)
-        2 * (k * n + n - 1),        # lower triangle of cell (n-1, k)
-        2 * ((n - 1) * n + k) + 1,  # upper triangle of cell (k, n-1)
-        2 * (k * n) + 1,            # upper triangle of cell (0, k)
-    ])
-    boundary_normal = np.repeat(
-        np.array([[0.0, -1.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]]), n, axis=0
-    )
-    lengths = np.linalg.norm(
-        vertices[boundary_edges[:, 1]] - vertices[boundary_edges[:, 0]], axis=1
-    )
-
-    return Mesh(
-        vertices=vertices,
-        triangles=triangles,
-        boundary_edges=boundary_edges,
-        boundary_owner=boundary_owner,
-        boundary_normal=boundary_normal,
-        boundary_length=lengths,
-        level=n,
-    )
+    return Mesh(vertices=vertices, triangles=triangles, level=n)
 
 
 def all_element_geometry(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:

@@ -64,17 +64,48 @@ def test_stored_edge_length_is_endpoint_distance():
     np.testing.assert_allclose(mesh.boundary_length, 1.0 / 7.0, rtol=1e-15)
 
 
+def counterclockwise_edges(mesh):
+    """Every directed edge a -> b of the triangles, mapped to its triangle."""
+    return {(a, b): t for t, tri in enumerate(mesh.triangles.tolist())
+            for a, b in zip(tri, tri[1:] + tri[:1])}
+
+
 @pytest.mark.parametrize("n", [1, 2, 5])
 def test_normals_point_outward_from_owner(n):
     mesh = build_structured_unit_square(n)
-    for (a, b), owner, normal in zip(
-        mesh.boundary_edges, mesh.boundary_owner, mesh.boundary_normal
-    ):
+    directed = counterclockwise_edges(mesh)
+    for (a, b), normal in zip(mesh.boundary_edges.tolist(), mesh.boundary_normal):
+        # the edge runs counterclockwise in exactly one triangle, and no
+        # triangle holds it the other way round
+        assert (b, a) not in directed
+        owner = directed[a, b]
         midpoint = 0.5 * (mesh.vertices[a] + mesh.vertices[b])
         centroid = mesh.vertices[mesh.triangles[owner]].mean(axis=0)
         assert normal @ (midpoint - centroid) > 0.0
-        # the owning triangle actually contains the edge
-        assert {a, b} <= set(mesh.triangles[owner])
+
+
+def test_reference_triangle_boundary():
+    mesh = Mesh(
+        vertices=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+        triangles=np.array([[0, 1, 2]]),
+        level=0,
+    )
+    np.testing.assert_array_equal(mesh.boundary_edges, [[0, 1], [1, 2], [2, 0]])
+    np.testing.assert_allclose(
+        mesh.boundary_normal, [[0.0, -1.0], [1.0, 1.0] / np.sqrt(2.0), [-1.0, 0.0]],
+        rtol=0.0, atol=1e-15,
+    )
+    np.testing.assert_allclose(mesh.boundary_length, [1.0, np.sqrt(2.0), 1.0],
+                               rtol=1e-15, atol=0.0)
+
+
+def test_boundary_arrays_are_cached_and_read_only():
+    mesh = build_structured_unit_square(3)
+    for name in ("boundary_edges", "boundary_normal", "boundary_length"):
+        arr = getattr(mesh, name)
+        assert getattr(mesh, name) is arr, name
+        with pytest.raises(ValueError):
+            arr[0] = 0
 
 
 def test_element_geometry_structured_area():
@@ -89,10 +120,6 @@ def test_element_geometry_reference_triangle():
     mesh = Mesh(
         vertices=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
         triangles=np.array([[0, 1, 2]]),
-        boundary_edges=np.empty((0, 2), dtype=np.int64),
-        boundary_owner=np.empty(0, dtype=np.int64),
-        boundary_normal=np.empty((0, 2)),
-        boundary_length=np.empty(0),
         level=0,
     )
     areas, grads = all_element_geometry(mesh)
@@ -134,19 +161,28 @@ def test_element_geometry_is_cached_and_read_only():
             arr[0] = 1.0
 
 
-def test_degenerate_mesh_is_rejected_by_geometry():
-    mesh = Mesh(
+def clockwise_triangle():
+    return Mesh(
         vertices=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
-        triangles=np.array([[0, 2, 1]]),  # clockwise
-        boundary_edges=np.empty((0, 2), dtype=np.int64),
-        boundary_owner=np.empty(0, dtype=np.int64),
-        boundary_normal=np.empty((0, 2)),
-        boundary_length=np.empty(0),
+        triangles=np.array([[0, 2, 1]]),
         level=0,
     )
+
+
+def test_degenerate_mesh_is_rejected_by_geometry():
+    mesh = clockwise_triangle()
     for _ in range(2):  # a failed computation is not cached
         with pytest.raises(ValueError):
             all_element_geometry(mesh)
+
+
+@pytest.mark.parametrize("name", ["boundary_edges", "boundary_normal", "boundary_length"])
+def test_clockwise_mesh_has_no_boundary(name):
+    # reversed triangles would otherwise get inward "outward" normals
+    mesh = clockwise_triangle()
+    for _ in range(2):
+        with pytest.raises(ValueError, match="counterclockwise"):
+            getattr(mesh, name)
 
 
 def test_p1_pattern_is_cached_read_only_and_sorted():
@@ -174,16 +210,7 @@ def shuffled(mesh, seed):
     shift = rng.integers(0, 3, mesh.num_triangles)
     local = (np.arange(3)[None, :] + shift[:, None]) % 3
     triangles = np.take_along_axis(mesh.triangles[perm], local, axis=1)
-    owner = np.argsort(perm)[mesh.boundary_owner]
-    return Mesh(
-        vertices=mesh.vertices,
-        triangles=triangles,
-        boundary_edges=mesh.boundary_edges,
-        boundary_owner=owner,
-        boundary_normal=mesh.boundary_normal,
-        boundary_length=mesh.boundary_length,
-        level=mesh.level,
-    )
+    return Mesh(vertices=mesh.vertices, triangles=triangles, level=mesh.level)
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 16])
@@ -212,7 +239,8 @@ def test_p1_slot_map_round_trips(n, seed):
 
 
 def loop_built_square(n):
-    """Triangles and boundary data of grid n, built cell by cell and side by side."""
+    """Triangles of grid n built cell by cell, and its boundary edges built
+    side by side as {undirected edge: outward normal}."""
     def vid(i, j):
         return j * (n + 1) + i
 
@@ -221,31 +249,53 @@ def loop_built_square(n):
         for i in range(n):
             triangles.append((vid(i, j), vid(i + 1, j), vid(i + 1, j + 1)))
             triangles.append((vid(i, j), vid(i + 1, j + 1), vid(i, j + 1)))
-    edges = []
-    for i in range(n):  # bottom, y = 0
-        edges.append((vid(i, 0), vid(i + 1, 0), 2 * i, (0.0, -1.0)))
-    for j in range(n):  # right, x = 1
-        edges.append((vid(n, j), vid(n, j + 1), 2 * (j * n + n - 1), (1.0, 0.0)))
-    for i in range(n):  # top, y = 1
-        edges.append((vid(i, n), vid(i + 1, n), 2 * ((n - 1) * n + i) + 1, (0.0, 1.0)))
-    for j in range(n):  # left, x = 0
-        edges.append((vid(0, j), vid(0, j + 1), 2 * j * n + 1, (-1.0, 0.0)))
-    return {
-        "triangles": np.array(triangles, dtype=np.int64),
-        "boundary_edges": np.array([e[:2] for e in edges], dtype=np.int64),
-        "boundary_owner": np.array([e[2] for e in edges], dtype=np.int64),
-        "boundary_normal": np.array([e[3] for e in edges], dtype=float),
-    }
+    boundary = {}
+    for k in range(n):
+        boundary[frozenset((vid(k, 0), vid(k + 1, 0)))] = (0.0, -1.0)  # bottom
+        boundary[frozenset((vid(n, k), vid(n, k + 1)))] = (1.0, 0.0)   # right
+        boundary[frozenset((vid(k, n), vid(k + 1, n)))] = (0.0, 1.0)   # top
+        boundary[frozenset((vid(0, k), vid(0, k + 1)))] = (-1.0, 0.0)  # left
+    return np.array(triangles, dtype=np.int64), boundary
+
+
+def boundary_of(mesh):
+    """The mesh's boundary as {undirected edge: outward normal}."""
+    return {frozenset(e): tuple(normal) for e, normal in
+            zip(mesh.boundary_edges.tolist(), mesh.boundary_normal.tolist())}
 
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_numbering_matches_loop_built_reference(n):
     # prolongation, multigrid and exported meshes rely on this numbering
     mesh = build_structured_unit_square(n)
-    for name, want in loop_built_square(n).items():
-        got = getattr(mesh, name)
-        assert got.dtype == want.dtype, name
-        np.testing.assert_array_equal(got, want, err_msg=name)
+    triangles, boundary = loop_built_square(n)
+    assert mesh.triangles.dtype == triangles.dtype
+    np.testing.assert_array_equal(mesh.triangles, triangles)
+    assert mesh.num_boundary_edges == len(boundary)
+    assert boundary_of(mesh) == boundary
+    np.testing.assert_allclose(mesh.boundary_length, 1.0 / n, rtol=1e-15)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_boundary_does_not_depend_on_triangle_order(seed):
+    mesh = build_structured_unit_square(5)
+    other = shuffled(mesh, seed)
+    assert boundary_of(other) == boundary_of(mesh)
+    directed = counterclockwise_edges(other)
+    assert all(tuple(e) in directed for e in other.boundary_edges.tolist())
+
+
+def test_jittered_interior_keeps_the_structured_boundary():
+    n = 8
+    mesh = build_structured_unit_square(n)
+    vertices = mesh.vertices.copy()
+    interior = np.all((vertices > 0.0) & (vertices < 1.0), axis=1)
+    rng = np.random.default_rng(3)
+    vertices[interior] += rng.uniform(-0.2, 0.2, (interior.sum(), 2)) / n
+    jittered = Mesh(vertices=vertices, triangles=mesh.triangles, level=n)
+    assert np.all(all_element_geometry(jittered)[0] > 0.0)
+    assert boundary_of(jittered) == loop_built_square(n)[1]
+    np.testing.assert_allclose(jittered.boundary_length, 1.0 / n, rtol=1e-15)
 
 
 def test_mesh_is_immutable():
