@@ -12,7 +12,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -121,45 +121,33 @@ def convergence_rates(errors: Sequence[float]) -> np.ndarray:
 _CSV_HEADER = ["elem", "eL2", "rateL2", "e1h", "rate1h", "eSig", "rateSig"]
 
 
+def _rates_column(errors: tuple[float, ...]) -> tuple[float, ...]:
+    """Rates aligned with the levels: NaN at the coarsest, and everywhere
+    when there is a single level."""
+    if len(errors) < 2:
+        return (math.nan,) * len(errors)
+    return (math.nan, *convergence_rates(errors))
+
+
 @dataclass(frozen=True)
 class ErrorTable:
-    """Per-level errors and the rates between adjacent levels."""
+    """Per-level errors; the rates between adjacent levels derive from them."""
 
     levels: tuple[int, ...]
     elements: tuple[int, ...]
     err_u_l2: tuple[float, ...]
     err_u_h1h: tuple[float, ...]
     err_sigma_l2: tuple[float, ...]
-    rate_u_l2: tuple[float, ...] = field(default=())
-    rate_u_h1h: tuple[float, ...] = field(default=())
-    rate_sigma_l2: tuple[float, ...] = field(default=())
 
-    @classmethod
-    def from_errors(cls, levels, elements, err_u_l2, err_u_h1h, err_sigma_l2):
-        def rates(errs):
-            if len(errs) < 2:
-                return (math.nan,) * len(errs)
-            return (math.nan, *convergence_rates(errs))
-
-        return cls(
-            levels=tuple(levels),
-            elements=tuple(elements),
-            err_u_l2=tuple(err_u_l2),
-            err_u_h1h=tuple(err_u_h1h),
-            err_sigma_l2=tuple(err_sigma_l2),
-            rate_u_l2=rates(err_u_l2),
-            rate_u_h1h=rates(err_u_h1h),
-            rate_sigma_l2=rates(err_sigma_l2),
-        )
+    # derived from the errors, read-only
+    rate_u_l2 = property(lambda self: _rates_column(self.err_u_l2))
+    rate_u_h1h = property(lambda self: _rates_column(self.err_u_h1h))
+    rate_sigma_l2 = property(lambda self: _rates_column(self.err_sigma_l2))
 
     def rows(self):
-        for k in range(len(self.levels)):
-            yield (
-                self.elements[k],
-                self.err_u_l2[k], self.rate_u_l2[k],
-                self.err_u_h1h[k], self.rate_u_h1h[k],
-                self.err_sigma_l2[k], self.rate_sigma_l2[k],
-            )
+        """(elements, err, rate, err, rate, err, rate) per level, coarsest first."""
+        return zip(self.elements, self.err_u_l2, self.rate_u_l2, self.err_u_h1h,
+                   self.rate_u_h1h, self.err_sigma_l2, self.rate_sigma_l2, strict=True)
 
     def to_csv(self, config: dict | None = None) -> str:
         out = io.StringIO()
@@ -199,16 +187,17 @@ class ErrorTable:
             return None if math.isnan(rate) else rate
 
         records = []
-        for k in range(len(self.levels)):
+        for k, (level, (elem, e1, r1, e2, r2, e3, r3)) in enumerate(
+                zip(self.levels, self.rows(), strict=True)):
             record = {
-                "level": self.levels[k],
-                "elements": self.elements[k],
-                "err_u_l2": self.err_u_l2[k],
-                "err_u_h1h": self.err_u_h1h[k],
-                "err_sigma_l2": self.err_sigma_l2[k],
-                "rate_u_l2": clean(self.rate_u_l2[k]),
-                "rate_u_h1h": clean(self.rate_u_h1h[k]),
-                "rate_sigma_l2": clean(self.rate_sigma_l2[k]),
+                "level": level,
+                "elements": elem,
+                "err_u_l2": e1,
+                "err_u_h1h": e2,
+                "err_sigma_l2": e3,
+                "rate_u_l2": clean(r1),
+                "rate_u_h1h": clean(r2),
+                "rate_sigma_l2": clean(r3),
             }
             if solver_reports is not None:
                 record["solver"] = solver_reports[k]

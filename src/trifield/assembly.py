@@ -52,11 +52,15 @@ class BlockSystem:
     f1_source: np.ndarray      # length N, domain source
     f1_penalty: np.ndarray     # length N, Dirichlet data against edge traces
     f2: np.ndarray             # length 2N
-    n_primal: int              # number of scalar (vertex) dofs
 
     def __post_init__(self):
         for vec in (self.D, self.f1_source, self.f1_penalty, self.f2):
             vec.flags.writeable = False
+
+    @property
+    def n_primal(self) -> int:
+        """Number of scalar (vertex) dofs N."""
+        return self.S.shape[0]
 
     def f1(self, alpha: float) -> np.ndarray:
         """First-row load for the boundary penalty weight alpha."""
@@ -181,7 +185,6 @@ def assemble(
         f1_source=f1_source,
         f1_penalty=f1_penalty,
         f2=f2,
-        n_primal=nvert,
     )
 
 

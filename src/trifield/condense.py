@@ -27,12 +27,12 @@ from .linsolve import canonical, dense_lu_solve
 
 @dataclass(frozen=True)
 class CondensedSystem:
-    """Sparse primal system K x_u = F with its stabilisation parameters."""
+    """Sparse primal system K x_u = F and the stabilisation weight r that
+    multiplier recovery needs."""
 
     K: scipy.sparse.csr_array
     F: np.ndarray
     r: float
-    alpha: float
 
     def __post_init__(self):
         self.F.flags.writeable = False
@@ -74,7 +74,7 @@ def condense(blocks: BlockSystem, r: float, alpha: float) -> CondensedSystem:
     del h
 
     f = blocks.f1(alpha) - b_dinv @ blocks.f2
-    return CondensedSystem(K=canonical(k), F=f, r=r, alpha=alpha)
+    return CondensedSystem(K=canonical(k), F=f, r=r)
 
 
 def recover_sigma(blocks: BlockSystem, x_u: np.ndarray) -> np.ndarray:
@@ -91,8 +91,9 @@ def recover_phi(
     return dinv * (blocks.A.T @ x_u - r * (blocks.M @ x_sigma) - blocks.f2)
 
 
-#: dense oracle refuses systems larger than this (5N unknowns)
-_FULL_SOLVE_LIMIT = 2500
+#: largest structured-grid level n the dense oracle accepts: it refuses
+#: block systems of more than (n+1)^2 vertices
+ORACLE_MAX_LEVEL = 16
 
 
 def solve_full_saddle(
@@ -104,10 +105,9 @@ def solve_full_saddle(
     """
     _check_weights(r, alpha)
     n = blocks.n_primal
-    if 5 * n > _FULL_SOLVE_LIMIT:
-        raise ValueError(
-            f"full saddle solve is a desk-scale oracle (5N = {5 * n} > {_FULL_SOLVE_LIMIT})"
-        )
+    limit = (ORACLE_MAX_LEVEL + 1) ** 2
+    if n > limit:
+        raise ValueError(f"full saddle solve is a desk-scale oracle (N = {n} > {limit})")
 
     s = blocks.S.toarray()
     m = blocks.M.toarray()

@@ -21,9 +21,13 @@ import numpy as np
 import scipy.sparse
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Mesh:
-    """Immutable triangulation of [0,1]^2 at refinement level n."""
+    """Immutable triangulation of [0,1]^2 at refinement level n.
+
+    Meshes compare and hash by identity: two meshes with equal arrays are
+    still two objects, each with its own derived data.
+    """
 
     vertices: np.ndarray   # (V, 2) float
     triangles: np.ndarray  # (T, 3) int, counterclockwise
@@ -200,10 +204,6 @@ def write_mesh_files(mesh: Mesh, directory: str | Path) -> tuple[Path, Path]:
     directory.mkdir(parents=True, exist_ok=True)
     node_path = directory / f"mesh-n{mesh.level}.node"
     elem_path = directory / f"mesh-n{mesh.level}.ele"
-    with open(node_path, "w") as fh:
-        for x, y in mesh.vertices:
-            fh.write(f"{float(x)!r} {float(y)!r}\n")
-    with open(elem_path, "w") as fh:
-        for i, j, k in mesh.triangles:
-            fh.write(f"{i} {j} {k}\n")
+    node_path.write_text("".join(f"{x!r} {y!r}\n" for x, y in mesh.vertices.tolist()))
+    elem_path.write_text("".join(f"{i} {j} {k}\n" for i, j, k in mesh.triangles.tolist()))
     return node_path, elem_path

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -159,7 +160,7 @@ def test_rates_degenerate_inputs():
 
 @pytest.fixture
 def table():
-    return ErrorTable.from_errors(
+    return ErrorTable(
         levels=(2, 4, 8),
         elements=(8, 32, 128),
         err_u_l2=(4.0e-2, 1.0e-2, 2.5e-3),
@@ -173,6 +174,28 @@ def test_error_table_rates_align_with_rows(table):
     np.testing.assert_allclose(table.rate_u_l2[1:], [2.0, 2.0], atol=1e-13)
     np.testing.assert_allclose(table.rate_u_h1h[1:], [1.0, 1.0], atol=1e-13)
     assert table.elements == (8, 32, 128)
+
+
+def test_error_table_stores_only_its_errors(table):
+    assert [f.name for f in dataclasses.fields(ErrorTable)] == [
+        "levels", "elements", "err_u_l2", "err_u_h1h", "err_sigma_l2"]
+    for errs, rates in ((table.err_u_l2, table.rate_u_l2),
+                        (table.err_u_h1h, table.rate_u_h1h),
+                        (table.err_sigma_l2, table.rate_sigma_l2)):
+        assert rates[1:] == tuple(convergence_rates(errs))
+    assert len(table.to_csv().splitlines()) == 4
+    assert len(table.to_markdown().splitlines()) == 5
+    assert [rec["elements"] for rec in json.loads(table.to_json())["levels"]] == [8, 32, 128]
+
+
+def test_error_table_rates_follow_the_errors(table):
+    for name in ("rate_u_l2", "rate_u_h1h", "rate_sigma_l2"):
+        with pytest.raises(AttributeError):
+            setattr(table, name, (0.0, 0.0, 0.0))
+        with pytest.raises(AttributeError):
+            object.__setattr__(table, name, (0.0, 0.0, 0.0))
+    finer = dataclasses.replace(table, err_u_l2=(4.0e-2, 5.0e-3, 6.25e-4))
+    np.testing.assert_allclose(finer.rate_u_l2[1:], [3.0, 3.0], atol=1e-13)
 
 
 def test_error_table_csv(table):
@@ -204,7 +227,7 @@ def test_error_table_json(table):
 
 
 def test_single_level_table():
-    table = ErrorTable.from_errors((2,), (8,), (1.0,), (2.0,), (3.0,))
+    table = ErrorTable((2,), (8,), (1.0,), (2.0,), (3.0,))
     assert math.isnan(table.rate_u_l2[0])
     text = table.to_csv()
     assert len(text.strip().splitlines()) == 2

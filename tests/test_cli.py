@@ -7,6 +7,7 @@ import scipy.io
 
 from trifield.cli import (
     ConfigError,
+    OracleCheckResult,
     StudyConfig,
     main,
     run_oracle_check,
@@ -159,6 +160,35 @@ def test_run_oracle_check_passes_small_levels():
         check = run_oracle_check(StudyConfig(example=example, levels=(2, 4)))
         assert check.passed
         assert max(check.discrepancy_u) <= 1e-10
+
+
+def test_results_store_only_their_inputs():
+    from trifield.assembly import BlockSystem
+    from trifield.cli import LevelSolution
+    from trifield.condense import CondensedSystem
+
+    def names(cls):
+        return [f.name for f in dataclasses.fields(cls)]
+
+    assert names(BlockSystem) == ["S", "M", "D", "A", "B", "C",
+                                  "f1_source", "f1_penalty", "f2"]
+    assert names(CondensedSystem) == ["K", "F", "r"]
+    assert names(LevelSolution) == ["mesh", "blocks", "system", "x_u", "x_sigma", "report"]
+    assert names(OracleCheckResult) == ["levels", "discrepancy_u", "discrepancy_sigma",
+                                        "discrepancy_phi"]
+    sol = run_study(StudyConfig(example=ExampleId.LINEAR_PATCH, levels=(2,))).solutions[0]
+    assert sol.level == sol.mesh.level == 2
+    assert sol.blocks.n_primal == sol.mesh.num_vertices == 9
+
+
+def test_oracle_check_fails_when_any_discrepancy_is_nan_or_too_large():
+    fine = (1e-14, 1e-14)
+    assert OracleCheckResult((2, 4), fine, fine, fine).passed
+    for bad in ((1e-14, np.nan), (np.nan, 1e-14), (1e-14, 1e-8)):
+        assert not OracleCheckResult((2, 4), fine, bad, fine).passed
+        assert not OracleCheckResult((2, 4), bad, fine, fine).passed
+    assert "oracle check: FAIL (tolerance 1.0e-09)" in OracleCheckResult(
+        (2, 4), fine, fine, (np.nan, 0.0)).render()
 
 
 def test_main_invalid_config_exits_2(capsys):

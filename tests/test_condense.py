@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from trifield.assembly import assemble
 from trifield.condense import (
+    ORACLE_MAX_LEVEL,
     condense,
     recover_phi,
     recover_sigma,
@@ -358,7 +359,8 @@ def test_zero_penalty_destroys_definiteness():
 
 
 def test_full_saddle_refuses_large_meshes():
-    mesh = build_structured_unit_square(32)
-    blocks = assemble(mesh, example1())
-    with pytest.raises(ValueError):
-        solve_full_saddle(blocks, R, ALPHA)
+    # the first level above ORACLE_MAX_LEVEL is already refused
+    for n in (ORACLE_MAX_LEVEL + 1, 32):
+        blocks = assemble(build_structured_unit_square(n), example1())
+        with pytest.raises(ValueError, match="desk-scale oracle"):
+            solve_full_saddle(blocks, R, ALPHA)

@@ -304,6 +304,20 @@ def test_mesh_is_immutable():
         mesh.vertices[0, 0] = 5.0
 
 
+def test_mesh_equality_is_identity():
+    mesh, twin = build_structured_unit_square(2), build_structured_unit_square(2)
+    assert mesh == mesh and mesh != twin
+    assert hash(mesh) == hash(mesh)
+    assert len({mesh, twin, mesh}) == 2
+
+
+def test_mesh_export_text_at_level_one(tmp_path):
+    node_path, elem_path = write_mesh_files(build_structured_unit_square(1), tmp_path)
+    assert (node_path.name, elem_path.name) == ("mesh-n1.node", "mesh-n1.ele")
+    assert node_path.read_text() == "0.0 0.0\n1.0 0.0\n0.0 1.0\n1.0 1.0\n"
+    assert elem_path.read_text() == "0 1 3\n0 3 2\n"
+
+
 def test_mesh_export_round_trip(tmp_path):
     mesh = build_structured_unit_square(3)
     node_path, elem_path = write_mesh_files(mesh, tmp_path)
