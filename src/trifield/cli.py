@@ -5,8 +5,8 @@ a list of refinement levels, emits the rate table (CSV, Markdown or
 JSON with embedded config), and optionally cross-checks the condensed
 path against the dense full-saddle-point oracle.
 
-Exit codes: 0 success, 2 invalid configuration, 3 solver failure,
-4 oracle-check failure.
+Exit codes: 0 success, 2 invalid configuration or an output path that
+cannot be written, 3 solver failure, 4 oracle-check failure.
 """
 
 from __future__ import annotations
@@ -87,10 +87,11 @@ class StudyConfig:
             raise ConfigError(f"alpha must be positive and finite, got {self.alpha}")
         if not self.levels:
             raise ConfigError("need at least one refinement level")
-        if any(n < 1 for n in self.levels):
-            raise ConfigError("levels must be positive integers")
-        if any(b <= a for a, b in zip(self.levels, self.levels[1:])):
-            raise ConfigError("levels must be strictly increasing")
+        for n in self.levels:
+            # a float fails in the mesh, a numpy int in the JSON report,
+            # and True would run as level 1
+            if type(n) is not int or n < 1:
+                raise ConfigError(f"levels must be positive integers, got {n!r}")
         if any(b != 2 * a for a, b in zip(self.levels, self.levels[1:])):
             raise ConfigError(
                 "each level must double the previous one; the rate columns "
@@ -121,9 +122,6 @@ class LevelSolution:
     @property
     def level(self) -> int:
         return self.mesh.level
-
-    def x_phi(self) -> np.ndarray:
-        return recover_phi(self.blocks, self.x_u, self.x_sigma, self.system.r)
 
 
 @dataclass(frozen=True)
@@ -299,7 +297,8 @@ def run_oracle_check(config: StudyConfig) -> OracleCheckResult:
         full_u, full_sigma, full_phi = solve_full_saddle(sol.blocks, config.r, config.alpha)
         d_u.append(_rel_max_diff(sol.x_u, full_u))
         d_s.append(_rel_max_diff(sol.x_sigma, full_sigma))
-        d_p.append(_rel_max_diff(sol.x_phi(), full_phi))
+        phi = recover_phi(sol.blocks, sol.x_u, sol.x_sigma, config.r)
+        d_p.append(_rel_max_diff(phi, full_phi))
 
     return OracleCheckResult(
         levels=config.levels,
@@ -407,12 +406,16 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 
-    if args.oracle:
-        _emit(check.render(), args.out)
-        return 0 if check.passed else 4
-    _export_artifacts(result, args)
-    fmt = "markdown" if args.format == "md" else args.format
-    _emit(result.render(fmt), args.out)
+    try:
+        if args.oracle:
+            _emit(check.render(), args.out)
+            return 0 if check.passed else 4
+        _export_artifacts(result, args)
+        fmt = "markdown" if args.format == "md" else args.format
+        _emit(result.render(fmt), args.out)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

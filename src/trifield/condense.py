@@ -7,11 +7,13 @@ be eliminated exactly:
     F = f1_source + alpha f1_penalty - B D^-1 f2
 
 after which x_sigma = D^-1 B^T x_u realises the biorthogonal projection
-of the gradient and x_phi = D^-1 (A^T x_u - r M x_sigma - f2) restores
-the multiplier. The blocks are free of r and alpha: both weights enter
-here, in `condense` and `solve_full_saddle`, so one assembly serves any
-(r, alpha). A dense solve of the full indefinite block system is
-kept as a desk-scale verification oracle.
+of the gradient and D^-1 (A^T x_u - r M x_sigma - f2) restores the
+multiplier coefficients. The blocks are free of r and alpha: both
+weights enter here, in `condense`, `recover_phi` and
+`solve_full_saddle`, so one assembly serves any (r, alpha). A direct
+solve of the full indefinite block system is kept as a desk-scale
+verification oracle: its matrix is assembled from the stored sparse
+blocks and made dense once for LU.
 """
 
 from __future__ import annotations
@@ -27,12 +29,10 @@ from .linsolve import canonical, dense_lu_solve
 
 @dataclass(frozen=True)
 class CondensedSystem:
-    """Sparse primal system K x_u = F and the stabilisation weight r that
-    multiplier recovery needs."""
+    """Sparse primal system K x_u = F."""
 
     K: scipy.sparse.csr_array
     F: np.ndarray
-    r: float
 
     def __post_init__(self):
         self.F.flags.writeable = False
@@ -74,7 +74,7 @@ def condense(blocks: BlockSystem, r: float, alpha: float) -> CondensedSystem:
     del h
 
     f = blocks.f1(alpha) - b_dinv @ blocks.f2
-    return CondensedSystem(K=canonical(k), F=f, r=r)
+    return CondensedSystem(K=canonical(k), F=f)
 
 
 def recover_sigma(blocks: BlockSystem, x_u: np.ndarray) -> np.ndarray:
@@ -101,7 +101,9 @@ def solve_full_saddle(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Solve the uncondensed block system directly (verification oracle).
 
-    Desk-scale only: builds the dense 5N x 5N operator and factorises it.
+    Desk-scale only: the 5N x 5N operator is assembled from the sparse
+    blocks, made dense once and factorised, so the peak is that matrix
+    and its LU factor.
     """
     _check_weights(r, alpha)
     n = blocks.n_primal
@@ -109,21 +111,14 @@ def solve_full_saddle(
     if n > limit:
         raise ValueError(f"full saddle solve is a desk-scale oracle (N = {n} > {limit})")
 
-    s = blocks.S.toarray()
-    m = blocks.M.toarray()
-    a = blocks.A.toarray()
-    b = blocks.B.toarray()
-    c = blocks.C.toarray()
-    d = np.diag(blocks.D)
-    zero = np.zeros((2 * n, 2 * n))
-
-    full = np.block(
+    d = scipy.sparse.diags_array(blocks.D)
+    full = scipy.sparse.block_array(
         [
-            [(1.0 - r) * s + alpha * c, -a, -b],
-            [-a.T, r * m, d],
-            [-b.T, d, zero],
+            [(1.0 - r) * blocks.S + alpha * blocks.C, -blocks.A, -blocks.B],
+            [-blocks.A.T, r * blocks.M, d],
+            [-blocks.B.T, d, None],
         ]
     )
     rhs = np.concatenate([blocks.f1(alpha), -blocks.f2, np.zeros(2 * n)])
-    sol = dense_lu_solve(full, rhs)
+    sol = dense_lu_solve(full.toarray(), rhs)
     return sol[:n], sol[n : 3 * n], sol[3 * n :]

@@ -236,9 +236,10 @@ def dense_lu_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         # the pivot check below turns exact singularity into an exception
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
         lu, piv = scipy.linalg.lu_factor(a)
-    row_scale = np.abs(a).max(axis=1).max()
+    # max |a_ij| without a full-size |a| temporary
+    largest_entry = max(a.max(), -a.min())
     pivots = np.abs(np.diag(lu))
-    if row_scale == 0.0 or np.any(pivots < 1e-14 * row_scale):
+    if largest_entry == 0.0 or np.any(pivots < 1e-14 * largest_entry):
         raise SingularMatrixError("matrix is singular to working precision")
     return scipy.linalg.lu_solve((lu, piv), b)
 

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -29,6 +30,10 @@ def test_config_validation():
         StudyConfig(levels=()).validate()
     with pytest.raises(ConfigError):
         StudyConfig(levels=(4, 2)).validate()
+    # levels that would fail in the mesh, fail in the JSON report, or run as n=1
+    for levels in ((2.0, 4.0), (np.int64(2), np.int64(4)), (True,)):
+        with pytest.raises(ConfigError, match=re.escape(f"got {levels[0]!r}")):
+            StudyConfig(levels=levels).validate()
     with pytest.raises(ConfigError):
         StudyConfig(levels=(0, 2)).validate()
     with pytest.raises(ConfigError):
@@ -172,7 +177,7 @@ def test_results_store_only_their_inputs():
 
     assert names(BlockSystem) == ["S", "M", "D", "A", "B", "C",
                                   "f1_source", "f1_penalty", "f2"]
-    assert names(CondensedSystem) == ["K", "F", "r"]
+    assert names(CondensedSystem) == ["K", "F"]
     assert names(LevelSolution) == ["mesh", "blocks", "system", "x_u", "x_sigma", "report"]
     assert names(OracleCheckResult) == ["levels", "discrepancy_u", "discrepancy_sigma",
                                         "discrepancy_phi"]
@@ -255,6 +260,20 @@ def test_main_oracle_rejects_exports(tmp_path, capsys):
         assert main(["--levels", "2,4", "--oracle", "--out", str(out), *exports]) == 2
         assert "apply to studies" in capsys.readouterr().err
     assert not mesh_dir.exists() and not mat_dir.exists() and not out.exists()
+
+
+def test_main_unwritable_output_exits_2(tmp_path, capsys):
+    # a directory as --out and a file as --export-mesh fail after the study
+    assert main([*PATCH_ARGS, "--out", str(tmp_path)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert main(["--example", "2", "--levels", "2,4", "--oracle",
+                 "--out", str(tmp_path)]) == 2
+    assert "error:" in capsys.readouterr().err
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert main([*PATCH_ARGS, "--export-mesh", str(taken),
+                 "--out", str(tmp_path / "t.md")]) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_exports(tmp_path):

@@ -14,7 +14,7 @@ from trifield.condense import (
     solve_full_saddle,
 )
 from trifield.femcore import DualBasis
-from trifield.linsolve import canonical, cg_solve
+from trifield.linsolve import canonical, cg_solve, dense_lu_solve
 from trifield.mesh import build_structured_unit_square
 from trifield.problems import example1, example2, linear_patch
 
@@ -253,6 +253,33 @@ def test_condensed_solve_matches_full_saddle(n, data):
     full_u, full_sigma, full_phi = solve_full_saddle(blocks, R, ALPHA)
     for got, want in ((x_u, full_u), (sigma, full_sigma), (phi, full_phi)):
         assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+
+def dense_block_saddle_solve(blocks, r, alpha):
+    """The full saddle solve from dense copies of every block (reference)."""
+    n = blocks.n_primal
+    s, m = blocks.S.toarray(), blocks.M.toarray()
+    a, b, c = blocks.A.toarray(), blocks.B.toarray(), blocks.C.toarray()
+    d = np.diag(blocks.D)
+    full = np.block([
+        [(1.0 - r) * s + alpha * c, -a, -b],
+        [-a.T, r * m, d],
+        [-b.T, d, np.zeros((2 * n, 2 * n))],
+    ])
+    rhs = np.concatenate([blocks.f1(alpha), -blocks.f2, np.zeros(2 * n)])
+    sol = dense_lu_solve(full, rhs)
+    return sol[:n], sol[n : 3 * n], sol[3 * n :]
+
+
+@pytest.mark.parametrize("r, alpha", [(0.5, 10.0), (0.9, 3.0)])
+@pytest.mark.parametrize("data", [example1(), example2()], ids=["ex1", "ex2"])
+@pytest.mark.parametrize("n", [2, 4, 8])
+def test_full_saddle_from_sparse_blocks_is_bitwise_the_dense_block_solve(n, data, r, alpha):
+    blocks = assemble(build_structured_unit_square(n), data)
+    got = solve_full_saddle(blocks, r, alpha)
+    want = dense_block_saddle_solve(blocks, r, alpha)
+    for field_got, field_want in zip(got, want):
+        assert field_got.tobytes() == field_want.tobytes()
 
 
 def test_corrupted_load_formula_breaks_equivalence():

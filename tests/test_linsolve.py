@@ -255,6 +255,10 @@ def test_dense_lu_rejects_singular():
     singular = np.array([[1.0, 2.0], [2.0, 4.0]])
     with pytest.raises(SingularMatrixError):
         dense_lu_solve(singular, np.ones(2))
+    # the scale is the largest magnitude, here that of a negative entry
+    for negative in (-np.ones((2, 2)), -singular):
+        with pytest.raises(SingularMatrixError):
+            dense_lu_solve(negative, np.ones(2))
     with pytest.raises(ValueError):
         dense_lu_solve(np.ones((2, 3)), np.ones(2))
 
