@@ -18,7 +18,6 @@ from .condense import (
     solve_full_saddle,
 )
 from .femcore import (
-    DualBasis,
     QuadratureRule,
     edge_quadrature,
     triangle_quadrature,
@@ -33,7 +32,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BlockSystem",
     "CondensedSystem",
-    "DualBasis",
     "ErrorTable",
     "ExampleId",
     "Mesh",

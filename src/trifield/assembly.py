@@ -27,7 +27,7 @@ from .femcore import (
     DATA_TRI_DEGREE,
     P1_EDGE_DEGREE,
     P1_TRI_DEGREE,
-    DualBasis,
+    dual_values,
     edge_points,
     edge_quadrature,
     edge_traces,
@@ -75,17 +75,11 @@ def _on_pattern(mesh: Mesh, local: np.ndarray) -> scipy.sparse.csr_array:
     return scipy.sparse.csr_array((data, indices, indptr), shape=(nvert, nvert))
 
 
-def assemble(
-    mesh: Mesh,
-    data: ProblemData,
-    dual: DualBasis | None = None,
-) -> BlockSystem:
+def assemble(mesh: Mesh, data: ProblemData) -> BlockSystem:
     """Assemble all blocks of the saddle-point system on the given mesh.
 
-    Passing a rescaled DualBasis rescales D and B together, which leaves
-    the condensed problem invariant.
+    D and B pair against the paper's fixed dual basis (`femcore.dual_values`).
     """
-    dual = dual or DualBasis()
     nvert = mesh.num_vertices
     tri = mesh.triangles
     areas, grads = all_element_geometry(mesh)
@@ -93,7 +87,7 @@ def assemble(
     rule = triangle_quadrature(P1_TRI_DEGREE)
     shp = rule.points                      # (q, 3) P1 values = barycentrics
     w = rule.weights
-    mu = dual.values(rule.points)          # (q, 3)
+    mu = dual_values(rule.points)          # (q, 3)
     scale = 2.0 * areas                    # reference weights sum to 1/2
 
     # each volume block is canonicalised as soon as it is summed, so that
@@ -208,16 +202,15 @@ def assemble_penalty_norm_product(
     return float(np.einsum("k,ek,ek->", rule.weights, u_trace, v_trace))
 
 
-def dual_pairing_matrix(mesh: Mesh, dual: DualBasis | None = None) -> scipy.sparse.csr_array:
+def dual_pairing_matrix(mesh: Mesh) -> scipy.sparse.csr_array:
     """Full pairing matrix int_Omega rho_i mu_j dx, for biorthogonality checks.
 
     Off-diagonal entries vanish analytically; assembling all nine local
     couplings makes that a measurable property rather than an assumption.
     """
-    dual = dual or DualBasis()
     areas, _ = all_element_geometry(mesh)
     rule = triangle_quadrature(P1_TRI_DEGREE)
-    mu = dual.values(rule.points)
+    mu = dual_values(rule.points)
     loc = (2.0 * areas)[:, None, None] * np.einsum(
         "q,qa,qb->ab", rule.weights, rule.points, mu
     )

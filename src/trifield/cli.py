@@ -81,6 +81,14 @@ class StudyConfig:
     cg_maxit: int = 20000
 
     def validate(self) -> None:
+        if not isinstance(self.example, ExampleId):
+            raise ConfigError(f"example must be an ExampleId, got {self.example!r}")
+        # a bool would run as 0 or 1, and a numpy scalar other than
+        # float64 fails in the JSON report after the study has run
+        for name in ("r", "alpha", "cg_tol"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, float)) or isinstance(value, bool):
+                raise ConfigError(f"{name} must be a real number, got {value!r}")
         if not 0.0 < self.r < 1.0:
             raise ConfigError(f"r must lie in (0, 1), got {self.r}")
         if not 0.0 < self.alpha < np.inf:
@@ -99,8 +107,9 @@ class StudyConfig:
             )
         if not 0.0 < self.cg_tol < 1.0:
             raise ConfigError(f"cg tolerance must be in (0, 1), got {self.cg_tol}")
-        if self.cg_maxit < 1:
-            raise ConfigError("cg_maxit must be positive")
+        if type(self.cg_maxit) is not int or self.cg_maxit < 1:
+            raise ConfigError(
+                f"cg_maxit must be a positive integer, got {self.cg_maxit!r}")
 
     def echo(self) -> dict:
         """The fields as JSON values, for the report's config record."""

@@ -1,16 +1,18 @@
-"""The biorthogonal dual basis, quadrature rules and their fixed degrees.
+"""The paper's element: its dual basis, quadrature rules and their fixed degrees.
 
 The dual basis mu_i = 3*lambda_i - lambda_j - lambda_k is the unique
 P1-spanned basis that is biorthogonal to the barycentric basis element
 by element (integral of rho_i * mu_j over T equals |T|/3 * delta_ij)
-while still summing to one pointwise. Everything here is pure; the
-quadrature rules are built once per degree and shared, read-only.
+while still summing to one pointwise; it is fixed, not a parameter.
+There are two triangle rules, one per fixed degree the pipeline uses.
+Everything here is pure; the rules are built once per degree and
+shared, read-only.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
@@ -29,20 +31,9 @@ DUAL_COEFFICIENTS = np.array(
 DUAL_COEFFICIENTS.flags.writeable = False
 
 
-@dataclass(frozen=True)
-class DualBasis:
-    """Element-local dual basis, optionally rescaled by a positive factor."""
-
-    coefficients: np.ndarray = field(default_factory=lambda: DUAL_COEFFICIENTS)
-
-    def values(self, points: np.ndarray) -> np.ndarray:
-        """Evaluate (mu_1, mu_2, mu_3) at barycentric points (..., 3)."""
-        return np.asarray(points) @ self.coefficients.T
-
-    def scaled(self, gamma: float) -> DualBasis:
-        if gamma <= 0.0:
-            raise ValueError("dual basis scaling must be positive")
-        return DualBasis(coefficients=gamma * np.asarray(self.coefficients))
+def dual_values(points: np.ndarray) -> np.ndarray:
+    """Evaluate (mu_1, mu_2, mu_3) at barycentric points (..., 3)."""
+    return np.asarray(points) @ DUAL_COEFFICIENTS.T
 
 
 @dataclass(frozen=True)
@@ -50,13 +41,12 @@ class QuadratureRule:
     """Points and weights on the reference triangle or reference edge.
 
     Triangle points are barycentric triples and weights sum to 1/2;
-    edge points live in [0,1] and weights sum to 1. A rule of degree d
-    integrates polynomials of total degree <= d exactly.
+    edge points live in [0,1] and weights sum to 1. The rule built for
+    degree d integrates polynomials of total degree <= d exactly.
     """
 
     points: np.ndarray
     weights: np.ndarray
-    degree: int
 
     def __post_init__(self):
         self.points.flags.writeable = False
@@ -82,12 +72,6 @@ def _tri_points(groups):
 _TRIANGLE_RULES = {
     # midpoint rule: exact for quadratics, enough for P1 x P1 products
     2: _tri_points([("sym3", (0.5, 0.0), 1.0 / 3.0)]),
-    4: _tri_points(
-        [
-            ("sym3", (0.445948490915965, 0.108103018168070), 0.223381589678011),
-            ("sym3", (0.091576213509771, 0.816847572980459), 0.109951743655322),
-        ]
-    ),
     6: _tri_points(
         [
             ("sym3", (0.063089014491502, 0.873821971016996), 0.050844906370207),
@@ -114,7 +98,7 @@ def triangle_quadrature(degree: int) -> QuadratureRule:
             f"available: {sorted(_TRIANGLE_RULES)}"
         )
     points, weights = _TRIANGLE_RULES[degree]
-    return QuadratureRule(points=points.copy(), weights=0.5 * weights, degree=degree)
+    return QuadratureRule(points=points.copy(), weights=0.5 * weights)
 
 
 @cache
@@ -127,9 +111,7 @@ def edge_quadrature(degree: int) -> QuadratureRule:
         raise ValueError(f"unsupported edge quadrature degree {degree}")
     npts = degree // 2 + 1
     points, weights = np.polynomial.legendre.leggauss(npts)
-    return QuadratureRule(
-        points=0.5 * (points + 1.0), weights=0.5 * weights, degree=2 * npts - 1
-    )
+    return QuadratureRule(points=0.5 * (points + 1.0), weights=0.5 * weights)
 
 
 #: degrees of the rules for the matrix integrands, which are products of

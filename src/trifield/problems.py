@@ -29,19 +29,19 @@ class ExampleId(enum.Enum):
 class ProblemData:
     """Source, Dirichlet data and (optionally) the manufactured solution.
 
-    Every field must be pointwise: called with coordinate arrays x and y
-    of one shape, it returns values of that shape (exact_grad_u: stacked
-    as (2, *shape)), each depending only on its own point. Quadrature
-    evaluates the fields block by block of triangles (see
-    `femcore.quadrature_blocks`), so a field that mixed points would
-    change with the block size.
+    A problem is only its fields; reports name a study's problem by the
+    config's `ExampleId`. Every field must be pointwise: called with
+    coordinate arrays x and y of one shape, it returns values of that
+    shape (exact_grad_u: stacked as (2, *shape)), each depending only on
+    its own point. Quadrature evaluates the fields block by block of
+    triangles (see `femcore.quadrature_blocks`), so a field that mixed
+    points would change with the block size.
     """
 
     f: Field
     g_dirichlet: Field
     exact_u: Field | None = None
     exact_grad_u: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
-    name: str = "custom"
 
 
 def example1() -> ProblemData:
@@ -61,7 +61,7 @@ def example1() -> ProblemData:
     def g_dirichlet(x, y):
         return np.zeros_like(np.asarray(x, dtype=float))
 
-    return ProblemData(f, g_dirichlet, exact_u, exact_grad_u, name="example1")
+    return ProblemData(f, g_dirichlet, exact_u, exact_grad_u)
 
 
 def example2() -> ProblemData:
@@ -86,8 +86,7 @@ def example2() -> ProblemData:
             + (2.0 - 4.0 * x * y - x**4 - x**2 * y**2) * s
         )
 
-    return ProblemData(f, lambda x, y: exact_u(x, y), exact_u, exact_grad_u,
-                       name="example2")
+    return ProblemData(f, lambda x, y: exact_u(x, y), exact_u, exact_grad_u)
 
 
 def linear_patch(a: float = 1.0, b: float = 2.0, c: float = 3.0) -> ProblemData:
@@ -103,8 +102,7 @@ def linear_patch(a: float = 1.0, b: float = 2.0, c: float = 3.0) -> ProblemData:
     def f(x, y):
         return np.zeros_like(np.asarray(x, dtype=float))
 
-    return ProblemData(f, lambda x, y: exact_u(x, y), exact_u, exact_grad_u,
-                       name="linear_patch")
+    return ProblemData(f, lambda x, y: exact_u(x, y), exact_u, exact_grad_u)
 
 
 def by_id(example: ExampleId) -> ProblemData:

@@ -15,7 +15,7 @@ from trifield.assembly import (
     assemble_penalty_norm_product,
     dual_pairing_matrix,
 )
-from trifield.femcore import DualBasis, edge_quadrature, triangle_quadrature
+from trifield.femcore import dual_values, edge_quadrature, triangle_quadrature
 from trifield.linsolve import canonical
 from trifield.mesh import all_element_geometry, build_structured_unit_square
 from trifield.problems import example1, example2, linear_patch
@@ -46,11 +46,11 @@ def eval_vector_mass(mesh, x_vec, y_vec):
     return total
 
 
-def eval_dual_vector_pairing(mesh, tau_vec, phi_vec, dual=None):
+def eval_dual_vector_pairing(mesh, tau_vec, phi_vec):
     nvert = mesh.num_vertices
     areas, _ = all_element_geometry(mesh)
     rule = triangle_quadrature(2)
-    mu = (dual or DualBasis()).values(rule.points)
+    mu = dual_values(rule.points)
     total = 0.0
     for t, tri in enumerate(mesh.triangles):
         for q, w in enumerate(rule.weights):
@@ -62,11 +62,11 @@ def eval_dual_vector_pairing(mesh, tau_vec, phi_vec, dual=None):
     return total
 
 
-def eval_grad_dual(mesh, v_dofs, phi_vec, dual=None):
+def eval_grad_dual(mesh, v_dofs, phi_vec):
     nvert = mesh.num_vertices
     areas, grads = all_element_geometry(mesh)
     rule = triangle_quadrature(2)
-    mu = (dual or DualBasis()).values(rule.points)
+    mu = dual_values(rule.points)
     total = 0.0
     for t, tri in enumerate(mesh.triangles):
         gv = sum(v_dofs[tri[a]] * grads[t, a] for a in range(3))
@@ -215,7 +215,7 @@ def test_volume_blocks_match_triplet_reference_bitwise(n):
     areas, grads = all_element_geometry(mesh)
     rule = triangle_quadrature(2)
     w, lam = rule.weights, rule.points
-    mu = DualBasis().values(lam)
+    mu = dual_values(lam)
     scale = 2.0 * areas
     moment = scale[:, None] * (w @ mu)
     mass = triplet_reference(mesh, scale[:, None, None] * np.einsum("q,qa,qb->ab", w, lam, lam))
@@ -253,13 +253,6 @@ def test_triangle_order_does_not_change_the_blocks(n):
     for name in ("D", "f1_source", "f1_penalty", "f2"):
         diff = np.abs(getattr(got, name) - getattr(want, name)).max()
         assert diff <= 1e-15 * np.abs(getattr(want, name)).max(), name
-
-
-def test_scaled_dual_basis_scales_pairing():
-    mesh = build_structured_unit_square(2)
-    base = dual_pairing_matrix(mesh).toarray()
-    scaled = dual_pairing_matrix(mesh, dual=DualBasis().scaled(7.0)).toarray()
-    np.testing.assert_allclose(scaled, 7.0 * base, rtol=1e-14)
 
 
 def test_zero_data_gives_zero_loads():

@@ -40,6 +40,18 @@ def test_config_validation():
         StudyConfig(levels=(2, 3)).validate()  # rates need halving
     with pytest.raises(ConfigError):
         StudyConfig(cg_tol=2.0).validate()
+    # values that would run and then fail in the report, run a rounded or
+    # empty CG, run as 1.0, or fail in `by_id` with a misleading message
+    for bad in (dict(cg_maxit=np.int64(100)), dict(cg_maxit=2.5),
+                dict(cg_maxit=np.nan), dict(cg_maxit=True),
+                dict(r=np.float32(0.5)), dict(alpha=True), dict(example="example1")):
+        (name, value), = bad.items()
+        with pytest.raises(ConfigError, match=f"^{name}.*got {re.escape(repr(value))}$"):
+            StudyConfig(**bad).validate()
+    # a float64 is a float, and the report serialises it
+    config = StudyConfig(r=np.float64(0.5))
+    config.validate()
+    assert json.loads(json.dumps(config.echo()))["r"] == 0.5
 
 
 def test_config_has_only_the_values_that_change_the_numbers():
@@ -124,7 +136,6 @@ def test_run_study_accepts_custom_problem():
         g_dirichlet=lambda x, y: x**2 + y**2,
         exact_u=lambda x, y: x**2 + y**2,
         exact_grad_u=lambda x, y: np.stack([2.0 * x, 2.0 * y]),
-        name="paraboloid",
     )
     config = StudyConfig(example=ExampleId.CUSTOM, levels=(4, 8, 16))
     result = run_study(config, data=data)
@@ -140,7 +151,6 @@ def nan_source_problem():
         g_dirichlet=lambda x, y: np.zeros_like(np.asarray(x, dtype=float)),
         exact_u=lambda x, y: np.zeros_like(np.asarray(x, dtype=float)),
         exact_grad_u=lambda x, y: np.zeros((2, *np.shape(x))),
-        name="nan source",
     )
 
 

@@ -8,7 +8,7 @@ import trifield.femcore as femcore
 from trifield.femcore import (
     DUAL_COEFFICIENTS,
     P1_TRI_DEGREE,
-    DualBasis,
+    dual_values,
     edge_quadrature,
     quadrature_blocks,
     triangle_quadrature,
@@ -52,7 +52,7 @@ def test_dual_pairing_against_exact_moments():
 def test_dual_basis_quadrature_matches_exact_moments():
     # the P1 rule integrates the linear-times-linear pairing exactly
     rule = triangle_quadrature(P1_TRI_DEGREE)
-    mu = DualBasis().values(rule.points)
+    mu = dual_values(rule.points)
     pairing = np.einsum("q,qi,qj->ij", rule.weights, rule.points, mu)
     for i in range(3):
         for j in range(3):
@@ -61,25 +61,14 @@ def test_dual_basis_quadrature_matches_exact_moments():
 
 def test_dual_basis_centroid_and_partition_sum():
     centroid = np.array([1 / 3, 1 / 3, 1 / 3])
-    np.testing.assert_allclose(DualBasis().values(centroid), [1 / 3, 1 / 3, 1 / 3],
+    np.testing.assert_allclose(dual_values(centroid), [1 / 3, 1 / 3, 1 / 3],
                                atol=1e-15)
     rng = np.random.default_rng(11)
     pts = random_barycentric(rng, 100)
-    np.testing.assert_allclose(DualBasis().values(pts).sum(axis=1), 1.0, atol=1e-12)
+    np.testing.assert_allclose(dual_values(pts).sum(axis=1), 1.0, atol=1e-12)
 
 
-def test_dual_basis_scaling():
-    rng = np.random.default_rng(3)
-    pts = random_barycentric(rng, 10)
-    base = DualBasis()
-    scaled = base.scaled(7.0)
-    np.testing.assert_allclose(scaled.values(pts), 7.0 * base.values(pts),
-                               rtol=1e-14, atol=1e-14)
-    with pytest.raises(ValueError):
-        base.scaled(0.0)
-
-
-@pytest.mark.parametrize("degree", [2, 4, 6])
+@pytest.mark.parametrize("degree", [2, 6])
 def test_triangle_weights_sum_to_reference_area(degree):
     rule = triangle_quadrature(degree)
     assert abs(rule.weights.sum() - 0.5) < 1e-14
@@ -94,7 +83,7 @@ def test_edge_weights_sum_to_one(degree):
     assert np.all((rule.points > 0.0) & (rule.points < 1.0))
 
 
-@pytest.mark.parametrize("degree", [2, 4, 6])
+@pytest.mark.parametrize("degree", [2, 6])
 def test_triangle_rule_exact_on_all_monomials(degree):
     rule = triangle_quadrature(degree)
     for a, b, c in itertools.product(range(degree + 1), repeat=3):
@@ -129,15 +118,14 @@ def test_rule_spot_values():
 
 
 def test_unsupported_degrees_raise():
-    with pytest.raises(ValueError):
-        triangle_quadrature(3)
-    with pytest.raises(ValueError):
-        triangle_quadrature(12)
+    for degree in (3, 4, 12):
+        with pytest.raises(ValueError):
+            triangle_quadrature(degree)
     with pytest.raises(ValueError):
         edge_quadrature(0)
 
 
-@pytest.mark.parametrize("build, degrees", [(triangle_quadrature, (2, 4, 6)),
+@pytest.mark.parametrize("build, degrees", [(triangle_quadrature, (2, 6)),
                                             (edge_quadrature, (1, 3, 5))])
 def test_rules_are_built_once_per_degree_and_read_only(build, degrees):
     for degree in degrees:

@@ -95,8 +95,10 @@ def test_linear_patch_values():
 
 
 def test_by_id_mapping():
-    assert by_id(ExampleId.EXAMPLE1).name == "example1"
-    assert by_id(ExampleId.EXAMPLE2).name == "example2"
-    assert by_id(ExampleId.LINEAR_PATCH).name == "linear_patch"
+    # told apart by their values at the centre of the square
+    assert by_id(ExampleId.EXAMPLE1).exact_u(0.5, 0.5) == 0.0625
+    assert by_id(ExampleId.EXAMPLE2).exact_u(0.5, 0.5) == pytest.approx(
+        np.exp(0.5) + 0.25 * np.cos(0.25) + 0.25 * np.sin(0.25), rel=1e-15)
+    assert by_id(ExampleId.LINEAR_PATCH).exact_u(0.5, 0.5) == 3.5
     with pytest.raises(ValueError):
         by_id(ExampleId.CUSTOM)
