@@ -1,9 +1,11 @@
 """Convergence-study driver and command-line interface.
 
 Runs mesh -> assemble -> condense -> CG -> recovery -> error norms over
-a list of refinement levels, emits the rate table (CSV, Markdown or
-JSON with embedded config), and optionally cross-checks the condensed
-path against the dense full-saddle-point oracle.
+a list of doubling refinement levels, coarsest first, each CG started
+from the coarser level's solution and each level dropped once its
+errors are taken. Emits the rate table (CSV, Markdown or JSON with
+embedded config), and optionally cross-checks the condensed path
+against the dense full-saddle-point oracle.
 
 Exit codes: 0 success, 2 invalid configuration or an output path that
 cannot be written, 3 solver failure, 4 oracle-check failure.
@@ -14,6 +16,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -134,16 +137,27 @@ class LevelSolution:
 
 
 @dataclass(frozen=True)
+class LevelRecord:
+    """What a study keeps of a level once it has been dropped."""
+
+    level: int
+    report: SolveReport
+
+
+@dataclass(frozen=True)
 class StudyResult:
+    """The error table of a study and one solver record per level, coarsest first."""
+
     config: StudyConfig
     table: ErrorTable
-    solutions: tuple[LevelSolution, ...]
+    solutions: tuple[LevelRecord, ...]
 
     def solver_reports(self) -> list[dict]:
         return [
             {
                 "level": sol.level,
                 "iterations": sol.report.iterations,
+                "initial_residual": sol.report.initial_residual,
                 "relative_residual": sol.report.relative_residual,
                 "converged": sol.report.converged,
                 "preconditioner": sol.report.preconditioner,
@@ -169,8 +183,13 @@ class StudyResult:
         raise ValueError(f"unknown output format {fmt!r}")
 
 
-def solve_level(n: int, data: ProblemData, config: StudyConfig) -> LevelSolution:
-    """Run the condensed pipeline at one refinement level."""
+def solve_level(
+    n: int, data: ProblemData, config: StudyConfig, x0: np.ndarray | None = None
+) -> LevelSolution:
+    """Run the condensed pipeline at one refinement level.
+
+    CG starts from `x0`, one value per vertex of grid n, or from zero.
+    """
     mesh = build_structured_unit_square(n)
     blocks = assemble(mesh, data)
     if not all(np.all(np.isfinite(v))
@@ -179,7 +198,7 @@ def solve_level(n: int, data: ProblemData, config: StudyConfig) -> LevelSolution
             f"loads at level n={n} are not finite; check the source and boundary data"
         )
     system = condense(blocks, config.r, config.alpha)
-    x_u, report = _solve_condensed(n, system, config)
+    x_u, report = _solve_condensed(n, system, config, x0)
     x_sigma = recover_sigma(blocks, x_u)
     return LevelSolution(mesh, blocks, system, x_u, x_sigma, report)
 
@@ -196,15 +215,16 @@ def multigrid_hierarchy(n: int) -> tuple[int, ...]:
 
 
 def _solve_condensed(
-    n: int, system: CondensedSystem, config: StudyConfig
+    n: int, system: CondensedSystem, config: StudyConfig, x0: np.ndarray | None
 ) -> tuple[np.ndarray, SolveReport]:
-    """CG on K x_u = F, preconditioned by multigrid where grid n allows it.
+    """CG on K x_u = F from x0, preconditioned by multigrid where grid n allows it.
 
     The report's wall time includes the multigrid set-up.
     """
     hierarchy = multigrid_hierarchy(n)
     if not hierarchy:
-        return cg_solve(system.K, system.F, tol=config.cg_tol, maxit=config.cg_maxit)
+        return cg_solve(system.K, system.F, tol=config.cg_tol, maxit=config.cg_maxit,
+                        x0=x0)
     t0 = time.perf_counter()
     try:
         precond = multigrid_preconditioner(
@@ -215,42 +235,70 @@ def _solve_condensed(
         report = SolveReport(0, 1.0, False, 0.0, indefinite=True)
     else:
         x_u, report = cg_solve(system.K, system.F, tol=config.cg_tol,
-                               maxit=config.cg_maxit, precond=precond)
+                               maxit=config.cg_maxit, precond=precond, x0=x0)
     return x_u, replace(report, wall_time=time.perf_counter() - t0,
                         preconditioner="multigrid", mg_levels=len(hierarchy))
 
 
-def run_study(config: StudyConfig, data: ProblemData | None = None) -> StudyResult:
-    """Solve every level, compute errors and rates, and collect reports.
+def walk_levels(config: StudyConfig, data: ProblemData) -> Iterator[LevelSolution]:
+    """Solve the configured levels coarsest first, one level at a time.
 
-    Pass `data` to study a programmatically built problem (the CUSTOM
-    example id); otherwise the configured built-in example is used.
+    Every level after the first starts CG from the previous level's x_u,
+    prolongated: the levels double (`StudyConfig.validate`), so that is the
+    exact P1 interpolation of the coarse solution (nested iteration). Only
+    that vector is kept between levels, so a caller that drops each level
+    before asking for the next holds one level's mesh, blocks and K at a
+    time. Raises SolverFailure at the first level whose CG fails, after
+    the levels before it have been yielded.
     """
+    x_u = None
+    for n in config.levels:
+        x0 = None if x_u is None else prolongation(n // 2) @ x_u
+        sol = solve_level(n, data, config, x0)
+        if not sol.report.converged:
+            raise SolverFailure(n, sol.report)
+        x_u = sol.x_u
+        yield sol
+        del sol
+
+
+def _study_problem(config: StudyConfig, data: ProblemData | None) -> ProblemData:
+    """The validated problem of a study: `data`, or the configured example."""
     config.validate()
     if data is None:
         data = by_id(config.example)
     if data.exact_u is None or data.exact_grad_u is None:
         raise ConfigError("convergence studies need a manufactured solution")
+    return data
 
-    solutions = []
-    e_l2, e_h1h, e_sig = [], [], []
-    for n in config.levels:
-        sol = solve_level(n, data, config)
-        if not sol.report.converged:
-            raise SolverFailure(n, sol.report)
-        solutions.append(sol)
-        e_l2.append(l2_error_u(sol.mesh, sol.x_u, data.exact_u))
-        e_h1h.append(h1h_error_u(sol.mesh, sol.x_u, data.exact_u, data.exact_grad_u))
-        e_sig.append(l2_error_sigma(sol.mesh, sol.x_sigma, data.exact_grad_u))
 
-    table = ErrorTable(
-        levels=config.levels,
-        elements=tuple(sol.mesh.num_triangles for sol in solutions),
-        err_u_l2=tuple(e_l2),
-        err_u_h1h=tuple(e_h1h),
-        err_sigma_l2=tuple(e_sig),
-    )
-    return StudyResult(config=config, table=table, solutions=tuple(solutions))
+def _tabulate(config: StudyConfig, data: ProblemData,
+              levels: Iterable[LevelSolution]) -> StudyResult:
+    """The errors and solver record of every level, each taken as it is walked."""
+    records, elements, errors = [], [], []
+    for sol in levels:
+        records.append(LevelRecord(sol.level, sol.report))
+        elements.append(sol.mesh.num_triangles)
+        errors.append((
+            l2_error_u(sol.mesh, sol.x_u, data.exact_u),
+            h1h_error_u(sol.mesh, sol.x_u, data.exact_u, data.exact_grad_u),
+            l2_error_sigma(sol.mesh, sol.x_sigma, data.exact_grad_u),
+        ))
+        del sol  # drop the level before the walk builds the next one
+    e_l2, e_h1h, e_sig = zip(*errors)
+    table = ErrorTable(levels=config.levels, elements=tuple(elements),
+                       err_u_l2=e_l2, err_u_h1h=e_h1h, err_sigma_l2=e_sig)
+    return StudyResult(config=config, table=table, solutions=tuple(records))
+
+
+def run_study(config: StudyConfig, data: ProblemData | None = None) -> StudyResult:
+    """Walk the levels, compute errors and rates, and collect reports.
+
+    Pass `data` to study a programmatically built problem (the CUSTOM
+    example id); otherwise the configured built-in example is used.
+    """
+    data = _study_problem(config, data)
+    return _tabulate(config, data, walk_levels(config, data))
 
 
 @dataclass(frozen=True)
@@ -299,15 +347,13 @@ def run_oracle_check(config: StudyConfig) -> OracleCheckResult:
     data = by_id(config.example)
 
     d_u, d_s, d_p = [], [], []
-    for n in config.levels:
-        sol = solve_level(n, data, config)
-        if not sol.report.converged:
-            raise SolverFailure(n, sol.report)
+    for sol in walk_levels(config, data):
         full_u, full_sigma, full_phi = solve_full_saddle(sol.blocks, config.r, config.alpha)
         d_u.append(_rel_max_diff(sol.x_u, full_u))
         d_s.append(_rel_max_diff(sol.x_sigma, full_sigma))
         phi = recover_phi(sol.blocks, sol.x_u, sol.x_sigma, config.r)
         d_p.append(_rel_max_diff(phi, full_phi))
+        del sol  # drop the level before the walk builds the next one
 
     return OracleCheckResult(
         levels=config.levels,
@@ -317,19 +363,21 @@ def run_oracle_check(config: StudyConfig) -> OracleCheckResult:
     )
 
 
-def _export_artifacts(result: StudyResult, args: argparse.Namespace) -> None:
-    if args.export_mesh is not None:
-        for sol in result.solutions:
+def _export_levels(levels: Iterable[LevelSolution],
+                   args: argparse.Namespace) -> Iterator[LevelSolution]:
+    """Pass the walk through, writing each level's files while it is held."""
+    for sol in levels:
+        if args.export_mesh is not None:
             write_mesh_files(sol.mesh, args.export_mesh)
-    if args.export_matrices is not None:
-        directory = args.export_matrices
-        for sol in result.solutions:
-            n = sol.level
+        if args.export_matrices is not None:
+            directory, n = args.export_matrices, sol.level
             write_matrix_market(sol.system.K, directory / f"K-n{n}.mtx", symmetric=True)
             for name in ("S", "M", "A", "B", "C"):
                 write_matrix_market(
                     getattr(sol.blocks, name), directory / f"{name}-n{n}.mtx"
                 )
+        yield sol
+        del sol
 
 
 _EXAMPLE_TOKENS = {
@@ -406,25 +454,20 @@ def main(argv: list[str] | None = None) -> int:
                               "apply to studies, not to --oracle")
         if args.oracle:
             check = run_oracle_check(config)
-        else:
-            result = run_study(config)
-    except ConfigError as exc:
+            _emit(check.render(), args.out)
+            return 0 if check.passed else 4
+        # the exports write each level as the study walks it, so a study
+        # that fails at a later level leaves the earlier levels' files
+        data = _study_problem(config, None)
+        result = _tabulate(config, data, _export_levels(walk_levels(config, data), args))
+        fmt = "markdown" if args.format == "md" else args.format
+        _emit(result.render(fmt), args.out)
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SolverFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-
-    try:
-        if args.oracle:
-            _emit(check.render(), args.out)
-            return 0 if check.passed else 4
-        _export_artifacts(result, args)
-        fmt = "markdown" if args.format == "md" else args.format
-        _emit(result.render(fmt), args.out)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     return 0
 
 

@@ -56,24 +56,29 @@ def condense(blocks: BlockSystem, r: float, alpha: float) -> CondensedSystem:
     """Eliminate the gradient and multiplier blocks into K x_u = F.
 
     With G = B D^-1 A^T and H = B D^-1 M D^-1 B^T, K = (1-r) S + alpha C
-    - G - G^T + r H: B D^-1 is formed once, the 7-point terms are summed
+    - G - G^T + r H: B D^-1 is formed once, F and the 7-point terms come
     first, H is scaled in place and added once, and K is canonicalised
-    once. r and alpha may be any weights in range: the blocks carry
-    neither.
+    once. Each intermediate is dropped before the next product, so the
+    peak is the H product, not the sum of every term. r and alpha may be
+    any weights in range: the blocks carry neither.
     """
     _check_weights(r, alpha)
     dinv = _dinv(blocks)
 
     b_dinv = blocks.B @ scipy.sparse.diags_array(dinv)
+    f = blocks.f1(alpha) - b_dinv @ blocks.f2
     g = b_dinv @ blocks.A.T
     local = (1.0 - r) * blocks.S + alpha * blocks.C - g - g.T
+    del g
     # (B D^-1 M) D^-1 B^T: the other association rounds differently
-    h = b_dinv @ blocks.M @ b_dinv.T
+    dinv_bt = b_dinv.T.tocsr()
+    b_dinv_m = b_dinv @ blocks.M
+    del b_dinv
+    h = b_dinv_m @ dinv_bt
+    del b_dinv_m, dinv_bt
     h.data *= r
     k = h + local
-    del h
-
-    f = blocks.f1(alpha) - b_dinv @ blocks.f2
+    del h, local
     return CondensedSystem(K=canonical(k), F=f)
 
 

@@ -64,6 +64,7 @@ class SolveReport:
     indefinite: bool = False
     preconditioner: str | None = None  # "jacobi", "multigrid"; None if unnamed
     mg_levels: int = 0  # levels of the multigrid hierarchy; 0 without one
+    initial_residual: float = 1.0  # ||b - a x0|| / ||b|| of the start; 1 from zero
 
 
 def cg_solve(
@@ -72,16 +73,21 @@ def cg_solve(
     tol: float = 1e-12,
     maxit: int = 20000,
     precond: Callable[[np.ndarray], np.ndarray] | None = None,
+    x0: np.ndarray | None = None,
 ) -> tuple[np.ndarray, SolveReport]:
     """Preconditioned conjugate gradients for SPD systems.
 
     `precond` maps a residual r to z = M^-1 r for an SPD M; None uses
     Jacobi, M = diag(a), and names it in the report. A caller passing its
     own preconditioner names it there (see `cli.solve_level`), and times
-    its set-up. Converged means ||b - a x|| / ||b|| <= tol. Any finite
-    b is solved alike, however tiny or large: CG iterates on b scaled
-    by a power of two to order one. Raises ValueError, before any work,
-    unless a is square and b has one finite entry per row.
+    its set-up. `x0` starts the iteration (None starts from zero); the
+    report gives the true relative residual of the start, and a start
+    that already meets `tol` returns after 0 iterations. Converged means
+    ||b - a x|| / ||b|| <= tol, from any start. Any finite b is solved
+    alike, however tiny or large: CG iterates on b and x0 scaled by the
+    same power of two, which brings b to order one. b = 0 returns x = 0
+    at once. Raises ValueError, before any work, unless a is square and
+    b and any x0 have one finite entry per row.
     Returns early with indefinite=True if a search direction has
     non-positive curvature or a residual has r.z <= 0, which an SPD
     operator with an SPD preconditioner never gives.
@@ -94,6 +100,12 @@ def cg_solve(
         raise ValueError(f"shape mismatch: matrix {a.shape} with right-hand side {b.shape}")
     if not np.all(np.isfinite(b)):
         raise ValueError("right-hand side has non-finite entries")
+    if x0 is not None:
+        x0 = np.asarray(x0, dtype=float)
+        if x0.shape != (n,):
+            raise ValueError(f"shape mismatch: matrix {a.shape} with start {x0.shape}")
+        if not np.all(np.isfinite(x0)):
+            raise ValueError("start has non-finite entries")
     t0 = time.perf_counter()
     label = "jacobi" if precond is None else None
     if precond is None:
@@ -110,17 +122,30 @@ def cg_solve(
     _, exponent = math.frexp(np.abs(b).max(initial=0.0))
     b = np.ldexp(b, -exponent)
 
+    initial = 1.0
+
     def report(x, iterations, rel, converged, indefinite=False):
         return np.ldexp(x, exponent), SolveReport(
-            iterations, float(rel), converged, time.perf_counter() - t0, indefinite, label
+            iterations, float(rel), converged, time.perf_counter() - t0, indefinite,
+            label, initial_residual=float(initial),
         )
 
     norm_b = np.linalg.norm(b)
     if norm_b == 0.0:
+        initial = 0.0
         return report(np.zeros_like(b), 0, 0.0, True)
 
-    x = np.zeros_like(b)
-    r = b.copy()
+    if x0 is None:
+        x = np.zeros_like(b)
+        r = b.copy()
+    else:
+        x = np.ldexp(x0, -exponent)
+        r = b - a @ x
+        # a start that already solves the system has r = 0, hence r.z = 0,
+        # which the loop would report as negative curvature
+        initial = np.linalg.norm(r) / norm_b
+        if initial <= tol:
+            return report(x, 0, initial, True)
     p = None
     iterations = 0
     while iterations < maxit:
@@ -247,10 +272,16 @@ def dense_lu_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def write_matrix_market(
     a: scipy.sparse.csr_array, path: str | Path, symmetric: bool = False
 ) -> Path:
-    """Write a sparse matrix in MatrixMarket coordinate/real format."""
+    """Write a sparse matrix in MatrixMarket coordinate/real format.
+
+    Raises OSError if the file cannot be opened for writing.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     symmetry = "symmetric" if symmetric else "general"
     mat = scipy.sparse.tril(a) if symmetric else a
-    scipy.io.mmwrite(str(path), mat, field="real", symmetry=symmetry)
+    # opened here: given a path that is a directory, mmwrite writes nothing
+    # and raises nothing
+    with open(path, "wb") as stream:
+        scipy.io.mmwrite(stream, mat, field="real", symmetry=symmetry)
     return path

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.io
 
+import trifield.cli
 from trifield.cli import (
     ConfigError,
     OracleCheckResult,
@@ -13,8 +14,9 @@ from trifield.cli import (
     main,
     run_oracle_check,
     run_study,
+    walk_levels,
 )
-from trifield.problems import ExampleId
+from trifield.problems import ExampleId, linear_patch
 
 PATCH_ARGS = ["--example", "patch", "--levels", "2,4"]
 
@@ -124,6 +126,9 @@ def test_run_study_reports_are_complete():
         assert record["iterations"] == sol.report.iterations > 0
         assert record["converged"] is True
         assert record["relative_residual"] <= config.cg_tol
+    # level 32 starts from zero, level 64 from the prolongated level-32 solution
+    assert reports[0]["initial_residual"] == 1.0
+    assert 0.0 < reports[1]["initial_residual"] < 1.0
 
 
 def test_run_study_accepts_custom_problem():
@@ -179,7 +184,7 @@ def test_run_oracle_check_passes_small_levels():
 
 def test_results_store_only_their_inputs():
     from trifield.assembly import BlockSystem
-    from trifield.cli import LevelSolution
+    from trifield.cli import LevelRecord, LevelSolution, StudyResult
     from trifield.condense import CondensedSystem
 
     def names(cls):
@@ -189,11 +194,16 @@ def test_results_store_only_their_inputs():
                                   "f1_source", "f1_penalty", "f2"]
     assert names(CondensedSystem) == ["K", "F"]
     assert names(LevelSolution) == ["mesh", "blocks", "system", "x_u", "x_sigma", "report"]
+    assert names(LevelRecord) == ["level", "report"]
+    assert names(StudyResult) == ["config", "table", "solutions"]
     assert names(OracleCheckResult) == ["levels", "discrepancy_u", "discrepancy_sigma",
                                         "discrepancy_phi"]
-    sol = run_study(StudyConfig(example=ExampleId.LINEAR_PATCH, levels=(2,))).solutions[0]
+    config = StudyConfig(example=ExampleId.LINEAR_PATCH, levels=(2,))
+    sol, = walk_levels(config, linear_patch())
     assert sol.level == sol.mesh.level == 2
     assert sol.blocks.n_primal == sol.mesh.num_vertices == 9
+    record, = run_study(config).solutions
+    assert record.level == 2 and record.report.converged
 
 
 def test_oracle_check_fails_when_any_discrepancy_is_nan_or_too_large():
@@ -273,7 +283,8 @@ def test_main_oracle_rejects_exports(tmp_path, capsys):
 
 
 def test_main_unwritable_output_exits_2(tmp_path, capsys):
-    # a directory as --out and a file as --export-mesh fail after the study
+    # a directory as --out fails after the study, a file as --export-mesh
+    # at its first level
     assert main([*PATCH_ARGS, "--out", str(tmp_path)]) == 2
     assert "error:" in capsys.readouterr().err
     assert main(["--example", "2", "--levels", "2,4", "--oracle",
@@ -290,16 +301,50 @@ def test_exports(tmp_path):
     mesh_dir = tmp_path / "mesh"
     mat_dir = tmp_path / "mat"
     assert main([
-        "--example", "patch", "--levels", "2",
+        "--example", "patch", "--levels", "2,4",
         "--export-mesh", str(mesh_dir), "--export-matrices", str(mat_dir),
         "--out", str(tmp_path / "t.md"),
     ]) == 0
-    assert (mesh_dir / "mesh-n2.node").exists()
-    assert (mesh_dir / "mesh-n2.ele").exists()
+    for n in (2, 4):
+        vertices = (n + 1) ** 2
+        nodes = np.loadtxt(mesh_dir / f"mesh-n{n}.node")
+        assert nodes.shape == (vertices, 2)
+        assert np.loadtxt(mesh_dir / f"mesh-n{n}.ele").shape == (2 * n * n, 3)
 
-    k = scipy.io.mmread(mat_dir / "K-n2.mtx").toarray()
-    assert k.shape == (9, 9)
-    np.testing.assert_allclose(k, k.T, atol=1e-12)
-    for name in ("S", "M", "A", "B", "C"):
-        assert (mat_dir / f"{name}-n2.mtx").exists()
-    assert scipy.io.mmread(mat_dir / "M-n2.mtx").shape == (18, 18)
+        k = scipy.io.mmread(mat_dir / f"K-n{n}.mtx").toarray()
+        assert k.shape == (vertices, vertices)
+        np.testing.assert_allclose(k, k.T, atol=1e-12)
+        for name in ("S", "M", "A", "B", "C"):
+            assert (mat_dir / f"{name}-n{n}.mtx").exists()
+        assert scipy.io.mmread(mat_dir / f"M-n{n}.mtx").shape == (2 * vertices,) * 2
+
+
+def test_a_failed_level_keeps_the_earlier_levels_files(tmp_path, monkeypatch, capsys):
+    solve = trifield.cli.solve_level
+
+    def fail_at_4(n, data, config, x0=None):
+        sol = solve(n, data, config, x0)
+        if n == 4:
+            report = dataclasses.replace(sol.report, converged=False)
+            sol = dataclasses.replace(sol, report=report)
+        return sol
+
+    monkeypatch.setattr("trifield.cli.solve_level", fail_at_4)
+    mesh_dir, mat_dir = tmp_path / "mesh", tmp_path / "mat"
+    assert main(["--example", "1", "--levels", "2,4", "--export-mesh", str(mesh_dir),
+                 "--export-matrices", str(mat_dir)]) == 3
+    assert "CG failed at level n=4" in capsys.readouterr().err
+    assert sorted(p.name for p in mesh_dir.iterdir()) == ["mesh-n2.ele", "mesh-n2.node"]
+    assert sorted(p.name for p in mat_dir.iterdir()) == [
+        f"{name}-n2.mtx" for name in "ABCKMS"]
+
+
+def test_an_export_failing_mid_study_exits_2(tmp_path, capsys):
+    mat_dir = tmp_path / "mat"
+    (mat_dir / "K-n4.mtx").mkdir(parents=True)  # level 4's K cannot be written
+    out = tmp_path / "t.md"
+    assert main(["--example", "1", "--levels", "2,4,8", "--export-matrices", str(mat_dir),
+                 "--out", str(out)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert (mat_dir / "K-n2.mtx").is_file()
+    assert not (mat_dir / "K-n8.mtx").exists() and not out.exists()

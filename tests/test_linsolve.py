@@ -65,6 +65,39 @@ def test_cg_identity_converges_immediately():
     assert report.iterations == 1
 
 
+def test_cg_exact_start_returns_without_iterating():
+    # r = 0 at the start gives r.z = 0, which the loop would report as
+    # negative curvature; the start's true residual is checked first
+    b = np.arange(1.0, 7.0)
+    x, report = cg_solve(eye(6), b, tol=1e-12, x0=b)
+    np.testing.assert_array_equal(x, b)
+    assert report.converged and not report.indefinite
+    assert report.iterations == 0
+    assert report.initial_residual == report.relative_residual == 0.0
+    _, cold = cg_solve(eye(6), b, tol=1e-12)
+    assert cold.initial_residual == 1.0
+
+
+def test_cg_from_a_near_start():
+    rng = np.random.default_rng(5)
+    root = rng.standard_normal((30, 30))
+    spd = root @ root.T + 30.0 * np.eye(30)
+    mat = scipy.sparse.csr_array(spd)
+    b = rng.standard_normal(30)
+    x_star = np.linalg.solve(spd, b)
+    x0 = x_star + 1e-6 * rng.standard_normal(30)
+    start = x0.copy()
+    x, report = cg_solve(mat, b, tol=1e-12, x0=x0)
+    _, cold = cg_solve(mat, b, tol=1e-12)
+    assert report.converged and report.iterations < cold.iterations
+    # the test stays relative to ||b||, and the caller's start is not modified
+    assert np.linalg.norm(b - spd @ x) <= 1e-12 * np.linalg.norm(b)
+    want = np.linalg.norm(b - spd @ x0) / np.linalg.norm(b)
+    assert 0.0 < want < 1.0
+    assert report.initial_residual == pytest.approx(want, rel=1e-12)
+    np.testing.assert_array_equal(x0, start)
+
+
 def test_cg_two_by_two_hand_oracle():
     mat = scipy.sparse.csr_array(np.array([[4.0, 1.0], [1.0, 3.0]]))
     x, report = cg_solve(mat, np.array([1.0, 2.0]), tol=1e-14)
@@ -152,12 +185,16 @@ def test_cg_rejects_mismatched_shapes():
     rect, _ = random_sparse(np.random.default_rng(2), 5, 4)
     with pytest.raises(ValueError, match=r"\(5, 4\).*\(5,\)"):
         cg_solve(rect, np.ones(5))
+    with pytest.raises(ValueError, match=r"\(5, 5\) with start \(4,\)"):
+        cg_solve(eye(5), np.ones(5), x0=np.ones(4))
 
 
 def test_cg_rejects_non_finite_rhs():
     for bad in (np.nan, np.inf):
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(ValueError, match="right-hand side has non-finite"):
             cg_solve(eye(3), np.array([1.0, bad, 0.0]))
+        with pytest.raises(ValueError, match="start has non-finite"):
+            cg_solve(eye(3), np.ones(3), x0=np.array([1.0, bad, 0.0]))
 
 
 def test_cg_iterates_are_invariant_under_power_of_two_scaling():
@@ -174,6 +211,15 @@ def test_cg_iterates_are_invariant_under_power_of_two_scaling():
         assert scaled.converged and not scaled.indefinite
         assert scaled.iterations == report.iterations
         assert scaled.relative_residual == report.relative_residual
+        np.testing.assert_array_equal(x_s, np.ldexp(x, power))
+    # a start is scaled with b
+    x0 = rng.standard_normal(25)
+    x, report = cg_solve(mat, b, tol=1e-13, x0=x0)
+    for power in (-530, 5, 1000):
+        x_s, scaled = cg_solve(mat, np.ldexp(b, power), tol=1e-13,
+                               x0=np.ldexp(x0, power))
+        assert scaled.iterations == report.iterations
+        assert scaled.initial_residual == report.initial_residual
         np.testing.assert_array_equal(x_s, np.ldexp(x, power))
 
 
@@ -277,3 +323,8 @@ def test_matrix_market_round_trip(tmp_path):
     assert "symmetric" in text.splitlines()[0]
     back = scipy.io.mmread(path).toarray()
     np.testing.assert_allclose(back, sym_dense, atol=0.0)
+
+    # a path that cannot be written raises instead of writing nothing
+    (tmp_path / "taken.mtx").mkdir()
+    with pytest.raises(OSError):
+        write_matrix_market(sym, tmp_path / "taken.mtx")

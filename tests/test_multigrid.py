@@ -19,7 +19,7 @@ from trifield.linsolve import (
     multigrid_preconditioner,
 )
 from trifield.mesh import build_structured_unit_square, prolongation
-from trifield.problems import example1, example2
+from trifield.problems import ExampleId, example1, example2
 
 R, ALPHA = 0.5, 10.0
 
@@ -100,6 +100,17 @@ def test_solve_level_selects_the_preconditioner_from_the_grid():
     report = solve_level(66, example1(), config).report
     assert report.converged
     assert (report.preconditioner, report.mg_levels) == ("jacobi", 0)
+
+
+def test_nested_starts_save_iterations_at_multigrid_levels():
+    # each level starts from the prolongated solution of the level before
+    config = StudyConfig(example=ExampleId.EXAMPLE2, levels=(32, 64, 128))
+    nested = {rec.level: rec.report for rec in run_study(config).solutions}
+    for n in (64, 128):
+        cold = solve_level(n, example2(), config).report
+        assert nested[n].preconditioner == cold.preconditioner == "multigrid"
+        assert nested[n].iterations < cold.iterations
+        assert nested[n].initial_residual < cold.initial_residual == 1.0
 
 
 def test_solve_level_times_the_multigrid_set_up(monkeypatch):
