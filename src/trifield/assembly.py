@@ -54,6 +54,10 @@ class BlockSystem:
     f2: np.ndarray             # length 2N
 
     def __post_init__(self):
+        # every elimination divides by D; NaN fails the test as well
+        if not np.all(self.D > 0.0):
+            raise ValueError("dual pairing has a non-positive or NaN diagonal entry; "
+                             "biorthogonality is broken")
         for vec in (self.D, self.f1_source, self.f1_penalty, self.f2):
             vec.flags.writeable = False
 

@@ -1,10 +1,10 @@
 """Convergence-study driver and command-line interface.
 
 Runs mesh -> assemble -> condense -> CG -> recovery -> error norms over
-a list of doubling refinement levels, coarsest first, each CG started
-from the coarser level's solution and each level dropped once its
-errors are taken. Emits the rate table (CSV, Markdown or JSON with
-embedded config), and optionally cross-checks the condensed path
+a list of doubling refinement levels, coarsest first, each multigrid
+CG started from the coarser level's solution and each level dropped
+once its errors are taken. Emits the rate table (CSV, Markdown or JSON
+with embedded config), and optionally cross-checks the condensed path
 against the dense full-saddle-point oracle.
 
 Exit codes: 0 success, 2 invalid configuration or an output path that
@@ -184,11 +184,13 @@ class StudyResult:
 
 
 def solve_level(
-    n: int, data: ProblemData, config: StudyConfig, x0: np.ndarray | None = None
+    n: int, data: ProblemData, config: StudyConfig, coarse: np.ndarray | None = None
 ) -> LevelSolution:
     """Run the condensed pipeline at one refinement level.
 
-    CG starts from `x0`, one value per vertex of grid n, or from zero.
+    `coarse` is the solution of grid n // 2, one value per vertex, or
+    None. A multigrid level starts CG from its prolongation; every other
+    level starts from zero.
     """
     mesh = build_structured_unit_square(n)
     blocks = assemble(mesh, data)
@@ -198,7 +200,7 @@ def solve_level(
             f"loads at level n={n} are not finite; check the source and boundary data"
         )
     system = condense(blocks, config.r, config.alpha)
-    x_u, report = _solve_condensed(n, system, config, x0)
+    x_u, report = _solve_condensed(n, system, config, coarse)
     x_sigma = recover_sigma(blocks, x_u)
     return LevelSolution(mesh, blocks, system, x_u, x_sigma, report)
 
@@ -215,21 +217,23 @@ def multigrid_hierarchy(n: int) -> tuple[int, ...]:
 
 
 def _solve_condensed(
-    n: int, system: CondensedSystem, config: StudyConfig, x0: np.ndarray | None
+    n: int, system: CondensedSystem, config: StudyConfig, coarse: np.ndarray | None
 ) -> tuple[np.ndarray, SolveReport]:
-    """CG on K x_u = F from x0, preconditioned by multigrid where grid n allows it.
+    """CG on K x_u = F, preconditioned by multigrid where grid n allows it.
 
-    The report's wall time includes the multigrid set-up.
+    A Jacobi level starts from zero. A multigrid level builds its
+    prolongations once: the V-cycle uses them all, and the first, from
+    grid n // 2, carries `coarse` into the start (nested iteration). The
+    report's wall time includes the multigrid set-up.
     """
     hierarchy = multigrid_hierarchy(n)
     if not hierarchy:
-        return cg_solve(system.K, system.F, tol=config.cg_tol, maxit=config.cg_maxit,
-                        x0=x0)
+        return cg_solve(system.K, system.F, tol=config.cg_tol, maxit=config.cg_maxit)
     t0 = time.perf_counter()
+    prolongations = [prolongation(m) for m in hierarchy[1:]]
+    x0 = None if coarse is None else prolongations[0] @ coarse
     try:
-        precond = multigrid_preconditioner(
-            system.K, [prolongation(m) for m in hierarchy[1:]]
-        )
+        precond = multigrid_preconditioner(system.K, prolongations)
     except IndefiniteOperatorError:
         x_u = np.zeros_like(system.F)
         report = SolveReport(0, 1.0, False, 0.0, indefinite=True)
@@ -243,18 +247,18 @@ def _solve_condensed(
 def walk_levels(config: StudyConfig, data: ProblemData) -> Iterator[LevelSolution]:
     """Solve the configured levels coarsest first, one level at a time.
 
-    Every level after the first starts CG from the previous level's x_u,
-    prolongated: the levels double (`StudyConfig.validate`), so that is the
-    exact P1 interpolation of the coarse solution (nested iteration). Only
-    that vector is kept between levels, so a caller that drops each level
-    before asking for the next holds one level's mesh, blocks and K at a
-    time. Raises SolverFailure at the first level whose CG fails, after
-    the levels before it have been yielded.
+    Every level after the first gets the previous level's x_u, which a
+    multigrid level prolongates into its CG start: the levels double
+    (`StudyConfig.validate`), so that is the exact P1 interpolation of the
+    coarse solution (nested iteration). Only that vector is kept between
+    levels, so a caller that drops each level before asking for the next
+    holds one level's mesh, blocks and K at a time. Raises SolverFailure
+    at the first level whose CG fails, after the levels before it have
+    been yielded.
     """
     x_u = None
     for n in config.levels:
-        x0 = None if x_u is None else prolongation(n // 2) @ x_u
-        sol = solve_level(n, data, config, x0)
+        sol = solve_level(n, data, config, x_u)
         if not sol.report.converged:
             raise SolverFailure(n, sol.report)
         x_u = sol.x_u

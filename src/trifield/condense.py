@@ -45,13 +45,6 @@ def _check_weights(r: float, alpha: float) -> None:
         raise ValueError(f"penalty weight must be finite and nonnegative, got {alpha}")
 
 
-def _dinv(blocks: BlockSystem) -> np.ndarray:
-    if np.any(blocks.D <= 0.0):
-        raise ValueError("dual pairing has a non-positive diagonal entry; "
-                         "biorthogonality is broken")
-    return 1.0 / blocks.D
-
-
 def condense(blocks: BlockSystem, r: float, alpha: float) -> CondensedSystem:
     """Eliminate the gradient and multiplier blocks into K x_u = F.
 
@@ -63,9 +56,7 @@ def condense(blocks: BlockSystem, r: float, alpha: float) -> CondensedSystem:
     any weights in range: the blocks carry neither.
     """
     _check_weights(r, alpha)
-    dinv = _dinv(blocks)
-
-    b_dinv = blocks.B @ scipy.sparse.diags_array(dinv)
+    b_dinv = blocks.B @ scipy.sparse.diags_array(1.0 / blocks.D)
     f = blocks.f1(alpha) - b_dinv @ blocks.f2
     g = b_dinv @ blocks.A.T
     local = (1.0 - r) * blocks.S + alpha * blocks.C - g - g.T
@@ -84,16 +75,14 @@ def condense(blocks: BlockSystem, r: float, alpha: float) -> CondensedSystem:
 
 def recover_sigma(blocks: BlockSystem, x_u: np.ndarray) -> np.ndarray:
     """Projected gradient coefficients x_sigma = D^-1 B^T x_u."""
-    dinv = _dinv(blocks)
-    return dinv * (blocks.B.T @ x_u)
+    return (1.0 / blocks.D) * (blocks.B.T @ x_u)
 
 
 def recover_phi(
     blocks: BlockSystem, x_u: np.ndarray, x_sigma: np.ndarray, r: float
 ) -> np.ndarray:
     """Multiplier coefficients making the second block equation exact."""
-    dinv = _dinv(blocks)
-    return dinv * (blocks.A.T @ x_u - r * (blocks.M @ x_sigma) - blocks.f2)
+    return (1.0 / blocks.D) * (blocks.A.T @ x_u - r * (blocks.M @ x_sigma) - blocks.f2)
 
 
 #: largest structured-grid level n the dense oracle accepts: it refuses

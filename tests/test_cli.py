@@ -322,8 +322,8 @@ def test_exports(tmp_path):
 def test_a_failed_level_keeps_the_earlier_levels_files(tmp_path, monkeypatch, capsys):
     solve = trifield.cli.solve_level
 
-    def fail_at_4(n, data, config, x0=None):
-        sol = solve(n, data, config, x0)
+    def fail_at_4(n, data, config, coarse=None):
+        sol = solve(n, data, config, coarse)
         if n == 4:
             report = dataclasses.replace(sol.report, converged=False)
             sol = dataclasses.replace(sol, report=report)

@@ -131,14 +131,15 @@ def test_condense_and_full_saddle_check_the_penalty_range():
         solve(blocks, R, 0.0)
 
 
-def test_condense_rejects_broken_biorthogonality():
-    mesh = build_structured_unit_square(1)
-    blocks = assemble(mesh, example1())
+@pytest.mark.parametrize("entry", [0.0, -1.0, np.nan], ids=["zero", "negative", "nan"])
+def test_blocks_reject_broken_biorthogonality(entry):
+    # D is checked where it is made, so no BlockSystem reaches condense or
+    # the recoveries with an entry they cannot divide by
+    blocks = assemble(build_structured_unit_square(1), example1())
     broken = blocks.D.copy()
-    broken[0] = 0.0
-    object.__setattr__(blocks, "D", broken)
-    with pytest.raises(ValueError):
-        condense(blocks, R, ALPHA)
+    broken[0] = entry
+    with pytest.raises(ValueError, match="biorthogonality is broken"):
+        dataclasses.replace(blocks, D=broken)
 
 
 def test_recover_sigma_reproduces_constant_gradient():

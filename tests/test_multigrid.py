@@ -113,6 +113,33 @@ def test_nested_starts_save_iterations_at_multigrid_levels():
         assert nested[n].initial_residual < cold.initial_residual == 1.0
 
 
+@pytest.mark.parametrize("example, levels, builds", [
+    (ExampleId.EXAMPLE2, (16, 32, 64, 128, 256),
+     [32, 16, 8, 64, 32, 16, 8, 128, 64, 32, 16, 8]),
+    (ExampleId.EXAMPLE1, (8, 16, 32), []),
+], ids=["example2", "example1"])
+def test_each_multigrid_level_builds_its_prolongations_once(monkeypatch, example,
+                                                            levels, builds):
+    # the V-cycle's first prolongation also carries the nested start, and a
+    # Jacobi level starts from zero, so it builds none
+    import trifield.cli
+
+    built = []
+
+    def counted(n_coarse):
+        built.append(n_coarse)
+        return prolongation(n_coarse)
+
+    monkeypatch.setattr(trifield.cli, "prolongation", counted)
+    result = run_study(StudyConfig(example=example, levels=levels))
+    assert built == builds
+    for rec in result.solutions:
+        if rec.report.preconditioner == "jacobi":
+            assert rec.report.initial_residual == 1.0
+        else:
+            assert rec.report.initial_residual < 1.0
+
+
 def test_solve_level_times_the_multigrid_set_up(monkeypatch):
     import time
 
