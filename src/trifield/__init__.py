@@ -9,7 +9,7 @@ from .analysis import (
     l2_error_sigma,
     l2_error_u,
 )
-from .assembly import BlockSystem, assemble, assemble_penalty_norm_product
+from .assembly import BlockSystem, assemble
 from .condense import (
     CondensedSystem,
     condense,
@@ -41,7 +41,6 @@ __all__ = [
     "StudyConfig",
     "StudyResult",
     "assemble",
-    "assemble_penalty_norm_product",
     "build_structured_unit_square",
     "cg_solve",
     "condense",

@@ -88,22 +88,6 @@ def l2_error_sigma(mesh: Mesh, x_sigma: np.ndarray, exact_grad_u: Callable) -> f
     return math.sqrt(_integrate(areas, per))
 
 
-def half_h_norm(mesh: Mesh, u_dofs: np.ndarray) -> float:
-    """Boundary norm ||u_h||_{1/2,h} of a P1 field."""
-    from .assembly import assemble_penalty_norm_product
-
-    return math.sqrt(assemble_penalty_norm_product(mesh, u_dofs, u_dofs))
-
-
-def minus_half_h_norm(mesh: Mesh, boundary_field: Callable) -> float:
-    """Dual boundary norm sqrt(sum_e h_e ||z||^2_{0,e}) of a pointwise field."""
-    rule = edge_quadrature(DATA_EDGE_DEGREE)
-    xk = edge_points(mesh, rule)
-    z = boundary_field(xk[..., 0], xk[..., 1])  # (E, k)
-    total = np.einsum("e,k,ek->", mesh.boundary_length**2, rule.weights, z**2)
-    return math.sqrt(total)
-
-
 def convergence_rates(errors: Sequence[float]) -> np.ndarray:
     """Rates log2(e_coarse / e_fine) for successive levels under h-halving.
 

@@ -185,37 +185,3 @@ def assemble(mesh: Mesh, data: ProblemData) -> BlockSystem:
         f2=f2,
     )
 
-
-def assemble_penalty_norm_product(
-    mesh: Mesh, u_dofs: np.ndarray, v_dofs: np.ndarray
-) -> float:
-    """Edge-weighted boundary product sum_e (1/h_e) int_e u v ds for P1 fields.
-
-    Evaluated edge by edge with quadrature, independently of the
-    assembled penalty matrix; equals x^T C y up to roundoff.
-    """
-    u_dofs = np.asarray(u_dofs, dtype=float)
-    v_dofs = np.asarray(v_dofs, dtype=float)
-    if u_dofs.shape != (mesh.num_vertices,) or v_dofs.shape != (mesh.num_vertices,):
-        raise ValueError("dof vectors must have one entry per mesh vertex")
-    rule = edge_quadrature(P1_EDGE_DEGREE)
-    tr = edge_traces(rule)
-    u_trace = u_dofs[mesh.boundary_edges] @ tr.T  # (E, k)
-    v_trace = v_dofs[mesh.boundary_edges] @ tr.T
-    # the h_e measure cancels against the 1/h_e weight
-    return float(np.einsum("k,ek,ek->", rule.weights, u_trace, v_trace))
-
-
-def dual_pairing_matrix(mesh: Mesh) -> scipy.sparse.csr_array:
-    """Full pairing matrix int_Omega rho_i mu_j dx, for biorthogonality checks.
-
-    Off-diagonal entries vanish analytically; assembling all nine local
-    couplings makes that a measurable property rather than an assumption.
-    """
-    areas, _ = all_element_geometry(mesh)
-    rule = triangle_quadrature(P1_TRI_DEGREE)
-    mu = dual_values(rule.points)
-    loc = (2.0 * areas)[:, None, None] * np.einsum(
-        "q,qa,qb->ab", rule.weights, rule.points, mu
-    )
-    return canonical(_on_pattern(mesh, loc))

@@ -188,10 +188,14 @@ def solve_level(
 ) -> LevelSolution:
     """Run the condensed pipeline at one refinement level.
 
-    `coarse` is the solution of grid n // 2, one value per vertex, or
-    None. A multigrid level starts CG from its prolongation; every other
-    level starts from zero.
+    `coarse` is the solution of grid n // 2, one value per vertex (any
+    other shape raises ValueError), or None. A multigrid level starts CG
+    from its prolongation; every other level starts from zero.
     """
+    coarse_size = (n // 2 + 1) ** 2
+    if coarse is not None and np.shape(coarse) != (coarse_size,):
+        raise ValueError(f"the coarse solution for level n={n} must have shape "
+                         f"({coarse_size},), got {np.shape(coarse)}")
     mesh = build_structured_unit_square(n)
     blocks = assemble(mesh, data)
     if not all(np.all(np.isfinite(v))

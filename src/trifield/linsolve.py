@@ -79,7 +79,7 @@ def cg_solve(
 
     `precond` maps a residual r to z = M^-1 r for an SPD M; None uses
     Jacobi, M = diag(a), and names it in the report. A caller passing its
-    own preconditioner names it there (see `cli.solve_level`), and times
+    own preconditioner names it there (see `cli._solve_condensed`), and times
     its set-up. `x0` starts the iteration (None starts from zero); the
     report gives the true relative residual of the start, and a start
     that already meets `tol` returns after 0 iterations. Converged means

@@ -10,14 +10,11 @@ from trifield.analysis import (
     ErrorTable,
     convergence_rates,
     h1h_error_u,
-    half_h_norm,
     l2_error_sigma,
     l2_error_u,
-    minus_half_h_norm,
 )
-from trifield.assembly import assemble, assemble_penalty_norm_product
+from trifield.assembly import assemble
 from trifield.condense import condense, recover_sigma
-from trifield.femcore import edge_quadrature
 from trifield.linsolve import cg_solve
 from trifield.mesh import build_structured_unit_square
 from trifield.problems import example2, linear_patch
@@ -102,36 +99,6 @@ def test_blocked_quadrature_matches_a_single_block(monkeypatch):
     np.testing.assert_allclose(blocked[0], whole[0], rtol=1e-14, atol=0)
     for got, want in zip(blocked[1:], whole[1:]):
         assert abs(got - want) <= 1e-14 * want
-
-
-def test_boundary_duality_pairing_inequality():
-    # <v, z> <= ||v||_{1/2,h} ||z||_{-1/2,h} on the boundary
-    mesh = build_structured_unit_square(4)
-    rng = np.random.default_rng(13)
-    v_dofs = rng.standard_normal(mesh.num_vertices)
-
-    def z(x, y):
-        return np.sin(3.0 * x) + np.cos(2.0 * y)
-
-    rule = edge_quadrature(5)
-    pairing = 0.0
-    for (a, b), h in zip(mesh.boundary_edges, mesh.boundary_length):
-        pa, pb = mesh.vertices[a], mesh.vertices[b]
-        for s, w in zip(rule.points, rule.weights):
-            x, y = (1.0 - s) * pa + s * pb
-            v = (1.0 - s) * v_dofs[a] + s * v_dofs[b]
-            pairing += h * w * v * z(x, y)
-
-    bound = half_h_norm(mesh, v_dofs) * minus_half_h_norm(mesh, z)
-    assert abs(pairing) <= bound * (1.0 + 1e-12)
-
-
-def test_half_h_norm_matches_penalty_product():
-    mesh = build_structured_unit_square(3)
-    rng = np.random.default_rng(2)
-    v = rng.standard_normal(mesh.num_vertices)
-    want = math.sqrt(assemble_penalty_norm_product(mesh, v, v))
-    assert abs(half_h_norm(mesh, v) - want) <= 1e-14
 
 
 def test_rates_on_synthetic_sequences():

@@ -10,12 +10,8 @@ import pytest
 import scipy.linalg
 from test_mesh import shuffled
 
-from trifield.assembly import (
-    assemble,
-    assemble_penalty_norm_product,
-    dual_pairing_matrix,
-)
-from trifield.femcore import dual_values, edge_quadrature, triangle_quadrature
+from trifield.assembly import assemble
+from trifield.femcore import dual_values, edge_quadrature, edge_traces, triangle_quadrature
 from trifield.linsolve import canonical
 from trifield.mesh import all_element_geometry, build_structured_unit_square
 from trifield.problems import example1, example2, linear_patch
@@ -119,6 +115,15 @@ def triplet_reference(mesh, local):
     return dense
 
 
+def pairing_reference(mesh):
+    """Dense full pairing int_Omega rho_i mu_j dx, all nine local couplings
+    summed, so that its off-diagonal entries are measured, not assumed zero."""
+    areas, _ = all_element_geometry(mesh)
+    rule = triangle_quadrature(2)
+    local = np.einsum("q,qa,qb->ab", rule.weights, rule.points, dual_values(rule.points))
+    return triplet_reference(mesh, (2.0 * areas)[:, None, None] * local)
+
+
 def boundary_vertex_mask(mesh):
     x, y = mesh.vertices[:, 0], mesh.vertices[:, 1]
     return (x == 0.0) | (x == 1.0) | (y == 0.0) | (y == 1.0)
@@ -194,7 +199,7 @@ def test_dual_pairing_diagonal_value(system_n3):
 @pytest.mark.parametrize("n", [2, 8])
 def test_biorthogonality_of_assembled_pairing(n):
     mesh = build_structured_unit_square(n)
-    pairing = dual_pairing_matrix(mesh).toarray()
+    pairing = pairing_reference(mesh)
     diag = np.diag(pairing).copy()
     off = pairing - np.diag(diag)
     assert np.abs(off).max() <= 1e-13
@@ -228,18 +233,16 @@ def test_volume_blocks_match_triplet_reference_bitwise(n):
             triplet_reference(mesh, np.einsum("ta,tb->tab", grads[:, :, c], moment))
             for c in range(2)
         ]),
-        "pairing": triplet_reference(
-            mesh, scale[:, None, None] * np.einsum("q,qa,qb->ab", w, lam, mu)
-        ),
     }
     got = {name: getattr(blocks, name) for name in "SMB"}
-    got["pairing"] = dual_pairing_matrix(mesh)
     for name, dense in want.items():
         ref = canonical(dense)
         for part in ("indptr", "indices", "data"):
             np.testing.assert_array_equal(
                 getattr(got[name], part), getattr(ref, part), err_msg=f"{name}.{part}"
             )
+    # D is the diagonal of the full pairing, summed in the same element order
+    np.testing.assert_array_equal(blocks.D, np.tile(np.diag(pairing_reference(mesh)), 2))
 
 
 @pytest.mark.parametrize("n", [5, 16])
@@ -270,28 +273,33 @@ def test_homogeneous_dirichlet_gives_zero_f2():
 
 
 def test_penalty_norm_product_closed_forms():
+    # sum_e (1/h_e) int_e 1 ds is the number of boundary edges, 8 at n = 2
     mesh = build_structured_unit_square(2)
+    c_mat = assemble(mesh, example1()).C
     ones = np.ones(mesh.num_vertices)
-    assert abs(assemble_penalty_norm_product(mesh, ones, ones) - 8.0) < 1e-13
+    assert abs(ones @ c_mat @ ones - 8.0) < 1e-13
     zero = np.zeros(mesh.num_vertices)
-    assert assemble_penalty_norm_product(mesh, zero, ones) == 0.0
+    assert zero @ c_mat @ ones == 0.0
 
 
 def test_penalty_norm_product_matches_matrix(system_n3):
+    def penalty_norm_product(mesh, u_dofs, v_dofs):
+        """sum_e (1/h_e) int_e u v ds, edge by edge with quadrature."""
+        rule = edge_quadrature(3)
+        tr = edge_traces(rule)
+        u_trace = u_dofs[mesh.boundary_edges] @ tr.T  # (E, k)
+        v_trace = v_dofs[mesh.boundary_edges] @ tr.T
+        # the h_e measure cancels against the 1/h_e weight
+        return float(np.einsum("k,ek,ek->", rule.weights, u_trace, v_trace))
+
     mesh, blocks = system_n3
     rng = np.random.default_rng(55)
     for _ in range(5):
         u = rng.standard_normal(mesh.num_vertices)
         v = rng.standard_normal(mesh.num_vertices)
-        got = assemble_penalty_norm_product(mesh, u, v)
+        got = penalty_norm_product(mesh, u, v)
         want = u @ blocks.C @ v
         assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
-
-
-def test_penalty_norm_product_rejects_bad_shapes():
-    mesh = build_structured_unit_square(2)
-    with pytest.raises(ValueError):
-        assemble_penalty_norm_product(mesh, np.ones(3), np.ones(mesh.num_vertices))
 
 
 def test_constant_flux_closed_boundary_identity(system_n3):

@@ -28,7 +28,7 @@ def eye(n):
     return scipy.sparse.eye_array(n, format="csr")
 
 
-def test_from_triplets_canonicalises():
+def test_canonical_sums_drops_and_sorts():
     # duplicates accumulate, exact zeros are dropped, indices end up sorted
     rows = [0, 0, 0, 1, 1]
     cols = [2, 2, 0, 1, 1]
@@ -46,7 +46,7 @@ def test_from_triplets_canonicalises():
         assert not arr.flags.writeable
 
 
-def test_from_scipy_does_not_freeze_caller_arrays():
+def test_canonical_copies_the_callers_arrays():
     # the caller's buffers are copied, so they stay writable and untouched
     original = scipy.sparse.random(5, 5, density=0.5, format="csr",
                                    random_state=np.random.default_rng(4))

@@ -113,6 +113,20 @@ def test_nested_starts_save_iterations_at_multigrid_levels():
         assert nested[n].initial_residual < cold.initial_residual == 1.0
 
 
+@pytest.mark.parametrize("n, size", [(64, 1089), (16, 81)])
+def test_solve_level_refuses_a_coarse_solution_of_the_wrong_size(monkeypatch, n, size):
+    # multigrid (64) and Jacobi (16) levels alike, before the mesh is built
+    import trifield.cli
+
+    def no_mesh(level):
+        raise AssertionError("the mesh was built")
+
+    monkeypatch.setattr(trifield.cli, "build_structured_unit_square", no_mesh)
+    for coarse in (np.zeros(10), np.zeros((size, 1))):
+        with pytest.raises(ValueError, match=rf"n={n}\b.*\({size},\)"):
+            solve_level(n, example1(), StudyConfig(), coarse)
+
+
 @pytest.mark.parametrize("example, levels, builds", [
     (ExampleId.EXAMPLE2, (16, 32, 64, 128, 256),
      [32, 16, 8, 64, 32, 16, 8, 128, 64, 32, 16, 8]),
