@@ -42,8 +42,9 @@ DEFAULT_LEVELS = (2, 4, 8, 16, 32, 64)
 ORACLE_TOLERANCE = 1e-9
 
 #: smallest level solved by multigrid-preconditioned CG. On example 2 with
-#: one BLAS thread (setup + solve, fastest of 3): n=32 takes 3.9 ms against
-#: 3.2 ms with Jacobi, n=64 13 ms against 26 ms, n=256 172 ms against 1.2 s
+#: one BLAS thread on a shared 2-core host (set-up + solve from zero,
+#: fastest of 75; of 3 for Jacobi at n=256): n=32 takes 4.8 ms against
+#: 4.0 ms with Jacobi, n=64 13 ms against 27 ms, n=256 0.25 s against 3.1 s
 MULTIGRID_MIN_LEVEL = 64
 
 #: the hierarchy halves the level while it is even and above

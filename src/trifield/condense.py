@@ -13,7 +13,7 @@ weights enter here, in `condense`, `recover_phi` and
 `solve_full_saddle`, so one assembly serves any (r, alpha). A direct
 solve of the full indefinite block system is kept as a desk-scale
 verification oracle: its matrix is assembled from the stored sparse
-blocks and made dense once for LU.
+blocks and made dense once, and LU factorises it in place.
 """
 
 from __future__ import annotations
@@ -96,8 +96,8 @@ def solve_full_saddle(
     """Solve the uncondensed block system directly (verification oracle).
 
     Desk-scale only: the 5N x 5N operator is assembled from the sparse
-    blocks, made dense once and factorised, so the peak is that matrix
-    and its LU factor.
+    blocks and made dense once, in Fortran order, so that LU factorises
+    it in place and the peak is that one matrix.
     """
     _check_weights(r, alpha)
     n = blocks.n_primal
@@ -114,5 +114,5 @@ def solve_full_saddle(
         ]
     )
     rhs = np.concatenate([blocks.f1(alpha), -blocks.f2, np.zeros(2 * n)])
-    sol = dense_lu_solve(full.toarray(), rhs)
+    sol = dense_lu_solve(full.toarray(order="F"), rhs)
     return sol[:n], sol[n : 3 * n], sol[3 * n :]

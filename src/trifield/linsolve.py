@@ -1,14 +1,16 @@
 """Canonical sparse matrices and the linear solvers used by the pipeline.
 
-Every sparse matrix the pipeline stores (the assembled blocks and the
-condensed K) is a `scipy.sparse.csr_array` that has passed through
-`canonical()`: duplicates summed, stored zeros dropped, column indices
-sorted and its arrays read-only. Everything else is plain scipy. The
-conjugate-gradient solver is written out explicitly because it must
-report iteration counts and detect negative curvature (an indefinite
-operator signals invalid stabilisation or penalty parameters). It is
-preconditioned by Jacobi or by a geometric multigrid V-cycle on nested
-meshes.
+Every sparse matrix the pipeline stores (the assembled blocks, the
+condensed K and the multigrid transfers) is a `scipy.sparse.csr_array`
+that has passed through `canonical()`: duplicates summed, stored zeros
+dropped, column indices sorted, 32-bit indices and its arrays
+read-only. The Galerkin products of these keep 32-bit indices.
+Everything else is plain scipy. The conjugate-gradient solver is
+written out explicitly because it must report iteration counts and
+detect negative curvature (an indefinite operator signals invalid
+stabilisation or penalty parameters). It is preconditioned by Jacobi or
+by a geometric multigrid V-cycle on nested meshes, which applies each
+fine operator once per level.
 """
 
 from __future__ import annotations
@@ -192,12 +194,15 @@ class MultigridPreconditioner:
     post-smoother are the same SPD matrix diag(sum_j |K_ij|), and
     diag(sum_j |K_ij|) - K is positive semidefinite by Gershgorin, so
     the cycle is an SPD preconditioner without any damping parameter.
+    Each level applies K_l once: the residual after the coarse
+    correction P_l c is the one before it less (K_l P_l) c.
     """
 
     operators: tuple            # K_0 = K, K_l+1 = P_l^T K_l P_l (scipy CSR)
     inv_l1_diag: tuple          # 1 / row sums of |K_l| for every level but the last
     prolongations: tuple        # P_l: level l+1 -> level l
     restrictions: tuple         # P_l^T in CSR form
+    operator_prolongations: tuple  # K_l P_l, formed for the Galerkin product
     coarse_factor: tuple        # scipy.linalg.cho_factor of the coarsest operator
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
@@ -206,12 +211,13 @@ class MultigridPreconditioner:
     def _cycle(self, level: int, r: np.ndarray) -> np.ndarray:
         if level == len(self.prolongations):
             return scipy.linalg.cho_solve(self.coarse_factor, r)
-        k = self.operators[level]
         inv_d = self.inv_l1_diag[level]
         x = inv_d * r
-        coarse = self._cycle(level + 1, self.restrictions[level] @ (r - k @ x))
+        res = r - self.operators[level] @ x
+        coarse = self._cycle(level + 1, self.restrictions[level] @ res)
         x += self.prolongations[level] @ coarse
-        x += inv_d * (r - k @ x)
+        res -= self.operator_prolongations[level] @ coarse
+        x += inv_d * res
         return x
 
 
@@ -221,20 +227,25 @@ def multigrid_preconditioner(
     """Set up a V-cycle preconditioner for K from nested prolongations.
 
     `prolongations[l]` interpolates from level l+1 to level l, finest
-    first (see `mesh.prolongation`). Raises IndefiniteOperatorError if the
-    coarsest Galerkin operator has no Cholesky factor, i.e. K is not SPD.
+    first (see `mesh.prolongation`). K and the prolongations are used as
+    given, never copied; canonical ones give a hierarchy of 32-bit
+    indices. The l1 row sums are read from each operator's stored values,
+    so every row must hold its diagonal, as in any SPD operator. Raises
+    IndefiniteOperatorError if the coarsest Galerkin operator has no
+    Cholesky factor, i.e. K is not SPD.
     """
     operators = [k]
+    inv_l1_diag = []
     restrictions = []
+    products = []
     for p in prolongations:
-        if p.shape[0] != operators[-1].shape[0]:
-            raise ValueError(
-                f"prolongation {p.shape} does not match operator {operators[-1].shape}"
-            )
-        restriction = p.T.tocsr()
-        operators.append(restriction @ (operators[-1] @ p))
-        restrictions.append(restriction)
-    inv_l1_diag = [1.0 / np.asarray(abs(op).sum(axis=1)).ravel() for op in operators[:-1]]
+        op = operators[-1]
+        if p.shape[0] != op.shape[0]:
+            raise ValueError(f"prolongation {p.shape} does not match operator {op.shape}")
+        inv_l1_diag.append(1.0 / np.add.reduceat(np.abs(op.data), op.indptr[:-1]))
+        products.append(op @ p)
+        restrictions.append(canonical(p.T))
+        operators.append(restrictions[-1] @ products[-1])
     try:
         factor = scipy.linalg.cho_factor(operators[-1].toarray())
     except np.linalg.LinAlgError as exc:
@@ -246,23 +257,30 @@ def multigrid_preconditioner(
         inv_l1_diag=tuple(inv_l1_diag),
         prolongations=tuple(prolongations),
         restrictions=tuple(restrictions),
+        operator_prolongations=tuple(products),
         coarse_factor=factor,
     )
 
 
 def dense_lu_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Direct solve of a dense square system by LU with partial pivoting."""
+    """Direct solve of a dense square system by LU with partial pivoting.
+
+    A Fortran-ordered float64 `a` is consumed: LU overwrites it in place,
+    so it holds the factor afterwards. Any other `a` is copied into
+    Fortran order and left as it was.
+    """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     n = a.shape[0]
     if a.shape != (n, n) or b.shape[0] != n:
         raise ValueError(f"shape mismatch: {a.shape} with rhs {b.shape}")
+    # max |a_ij| without a full-size |a| temporary, read before the
+    # factor overwrites a
+    largest_entry = max(a.max(), -a.min())
     with warnings.catch_warnings():
         # the pivot check below turns exact singularity into an exception
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(a)
-    # max |a_ij| without a full-size |a| temporary
-    largest_entry = max(a.max(), -a.min())
+        lu, piv = scipy.linalg.lu_factor(a, overwrite_a=True)
     pivots = np.abs(np.diag(lu))
     if largest_entry == 0.0 or np.any(pivots < 1e-14 * largest_entry):
         raise SingularMatrixError("matrix is singular to working precision")

@@ -20,6 +20,8 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse
 
+from .linsolve import canonical
+
 
 @dataclass(frozen=True, eq=False)
 class Mesh:
@@ -173,7 +175,8 @@ def prolongation(n_coarse: int) -> scipy.sparse.csr_array:
     takes its value (one entry of 1); the midpoint of a coarse horizontal,
     vertical or diagonal edge averages the two endpoints (two entries of 1/2).
     Rows are fine vertices and columns coarse ones, both numbered as in
-    `build_structured_unit_square`.
+    `build_structured_unit_square`. The matrix is canonical (see
+    `linsolve.canonical`): 32-bit indices and read-only arrays.
     """
     if n_coarse < 1:
         raise ValueError(f"coarse refinement level must be >= 1, got {n_coarse}")
@@ -191,7 +194,7 @@ def prolongation(n_coarse: int) -> scipy.sparse.csr_array:
                                        np.concatenate([lower, upper]))),
         shape=((n + 1) ** 2, (n_coarse + 1) ** 2),
     )
-    return coo.tocsr()  # sums the two halves on coarse vertices
+    return canonical(coo)  # sums the two halves on coarse vertices
 
 
 def write_mesh_files(mesh: Mesh, directory: str | Path) -> tuple[Path, Path]:

@@ -299,14 +299,35 @@ def test_dense_lu_hilbert_against_rational_oracle():
 
 def test_dense_lu_rejects_singular():
     singular = np.array([[1.0, 2.0], [2.0, 4.0]])
-    with pytest.raises(SingularMatrixError):
-        dense_lu_solve(singular, np.ones(2))
-    # the scale is the largest magnitude, here that of a negative entry
-    for negative in (-np.ones((2, 2)), -singular):
-        with pytest.raises(SingularMatrixError):
-            dense_lu_solve(negative, np.ones(2))
+    # the scale is the largest magnitude, for the last two that of a
+    # negative entry; a Fortran-ordered copy is factorised in place
+    for mat in (singular, -np.ones((2, 2)), -singular):
+        for a in (mat, np.asfortranarray(mat)):
+            with pytest.raises(SingularMatrixError):
+                dense_lu_solve(a, np.ones(2))
     with pytest.raises(ValueError):
         dense_lu_solve(np.ones((2, 3)), np.ones(2))
+
+
+def wilkinson_growth_matrix(n):
+    """Unit diagonal, -1 below it, 1 in the last column: partial pivoting
+    grows the last column of U to 2^(n-1) while every other pivot is 1."""
+    a = np.eye(n) - np.tril(np.ones((n, n)), -1)
+    a[:, -1] = 1.0
+    return a
+
+
+def test_dense_lu_reads_the_pivot_scale_before_factorising_in_place():
+    # after an in-place factor the matrix holds U, whose largest entry
+    # 2^59 would make the unit pivots look singular
+    a = wilkinson_growth_matrix(60)
+    b = a @ np.ones(60)
+    want = dense_lu_solve(a, b)
+    fortran = np.asfortranarray(a)
+    got = dense_lu_solve(fortran, b)
+    assert got.tobytes() == want.tobytes()
+    assert np.abs(fortran).max() == 2.0**59  # consumed: it holds the factor
+    assert np.array_equal(a, wilkinson_growth_matrix(60))  # a C-ordered a is kept
 
 
 def test_matrix_market_round_trip(tmp_path):

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+import scipy.sparse
 
+from trifield.linsolve import canonical
 from trifield.mesh import (
     Mesh,
     all_element_geometry,
@@ -368,6 +370,19 @@ def test_prolongation_interpolates_coarse_hat_functions(n_coarse):
         hat[vertex] = 1.0
         np.testing.assert_allclose(p @ hat, coarse_p1_at(hat, n_coarse, fine),
                                    rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("n_coarse", [1, 8, 128])
+def test_prolongation_is_canonical_and_read_only(n_coarse):
+    # 32-bit indices keep every Galerkin product of the V-cycle 32-bit
+    p = prolongation(n_coarse)
+    assert isinstance(p, scipy.sparse.csr_array)
+    assert p.indices.dtype == p.indptr.dtype == np.int32
+    again = canonical(p)
+    for got, want in zip((p.data, p.indices, p.indptr),
+                         (again.data, again.indices, again.indptr)):
+        assert not got.flags.writeable
+        assert got.tobytes() == want.tobytes()
 
 
 def test_prolongation_rejects_level_zero():

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from trifield.assembly import assemble
 from trifield.cli import (
@@ -33,6 +34,26 @@ def preconditioner(system, n):
     return multigrid_preconditioner(
         system.K, [prolongation(m) for m in multigrid_hierarchy(n)[1:]]
     )
+
+
+def reference_cycle(k, prolongations, r):
+    """The V-cycle as textbooks write it, with its own Galerkin operators and
+    l1 row sums: it forms r - K x before and after the coarse correction."""
+    if not prolongations:
+        return scipy.linalg.cho_solve(scipy.linalg.cho_factor(k.toarray()), r)
+    p = prolongations[0]
+    inv_d = 1.0 / abs(k).sum(axis=1)
+    x = inv_d * r
+    x += p @ reference_cycle(p.T @ (k @ p), prolongations[1:], p.T @ (r - k @ x))
+    x += inv_d * (r - k @ x)
+    return x
+
+
+@pytest.fixture(scope="module")
+def nested_example2():
+    """{n: report} of example 2 at levels 32, 64, 128, each from the coarser x_u."""
+    config = StudyConfig(example=ExampleId.EXAMPLE2, levels=(32, 64, 128))
+    return {rec.level: rec.report for rec in run_study(config).solutions}
 
 
 @pytest.fixture(scope="module")
@@ -102,10 +123,41 @@ def test_solve_level_selects_the_preconditioner_from_the_grid():
     assert (report.preconditioner, report.mg_levels) == ("jacobi", 0)
 
 
-def test_nested_starts_save_iterations_at_multigrid_levels():
+def test_hierarchy_matrices_have_32_bit_indices():
+    system = condensed(64)
+    mg = preconditioner(system, 64)
+    assert len(mg.operator_prolongations) == len(mg.restrictions) == 3
+    for group in (mg.operators, mg.prolongations, mg.restrictions,
+                  mg.operator_prolongations):
+        for mat in group:
+            assert mat.indices.dtype == mat.indptr.dtype == np.int32
+
+
+@pytest.mark.parametrize("n, coarse", [(32, (16, 8)), (64, (32, 16, 8))])
+def test_vcycle_matches_the_reference_cycle(n, coarse):
+    # the cycle applies K once per level, taking the residual after the
+    # coarse correction from the one before it and the stored K P
+    system = condensed(n)
+    prolongations = [prolongation(m) for m in coarse]
+    mg = multigrid_preconditioner(system.K, prolongations)
+    rng = np.random.default_rng(n)
+    for r in (system.F, rng.standard_normal(system.F.size)):
+        want = reference_cycle(system.K, prolongations, r)
+        got = mg(r)
+        assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+
+
+def test_example2_iterations_at_multigrid_levels(solves, nested_example2):
+    # pinned, from zero and from the nested start: a change to the
+    # V-cycle's arithmetic that is more than rounding shows here
+    assert [solves[n][3].iterations for n in (64, 128)] == [15, 16]
+    assert [nested_example2[n].iterations for n in (64, 128)] == [12, 11]
+
+
+def test_nested_starts_save_iterations_at_multigrid_levels(nested_example2):
     # each level starts from the prolongated solution of the level before
     config = StudyConfig(example=ExampleId.EXAMPLE2, levels=(32, 64, 128))
-    nested = {rec.level: rec.report for rec in run_study(config).solutions}
+    nested = nested_example2
     for n in (64, 128):
         cold = solve_level(n, example2(), config).report
         assert nested[n].preconditioner == cold.preconditioner == "multigrid"
