@@ -26,7 +26,7 @@ from .femcore import (
     quadrature_blocks,
     triangle_quadrature,
 )
-from .mesh import Mesh, all_element_geometry
+from .mesh import Mesh
 
 
 def _integrate(areas: np.ndarray, per_element: np.ndarray) -> float:
@@ -37,12 +37,11 @@ def _integrate(areas: np.ndarray, per_element: np.ndarray) -> float:
 def l2_error_u(mesh: Mesh, x_u: np.ndarray, exact_u: Callable) -> float:
     """||u - u_h||_{0,Omega} by element quadrature."""
     rule = triangle_quadrature(DATA_TRI_DEGREE)
-    areas, _ = all_element_geometry(mesh)
     l2 = np.empty(mesh.num_triangles)
     for blk, x, y in quadrature_blocks(mesh, rule):
         err = exact_u(x, y) - x_u[mesh.triangles[blk]] @ rule.points.T
         l2[blk] = err**2 @ rule.weights
-    return math.sqrt(_integrate(areas, l2))
+    return math.sqrt(_integrate(mesh.areas, l2))
 
 
 def h1h_error_u(mesh: Mesh, x_u: np.ndarray, exact_u: Callable,
@@ -53,8 +52,8 @@ def h1h_error_u(mesh: Mesh, x_u: np.ndarray, exact_u: Callable,
     boundary norm sqrt(sum_e (1/h_e) ||e||^2_{0,e}).
     """
     rule = triangle_quadrature(DATA_TRI_DEGREE)
-    areas, grads = all_element_geometry(mesh)
-    grad_h = np.einsum("ta,tad->td", x_u[mesh.triangles], grads)  # constant per element
+    # constant per element
+    grad_h = np.einsum("ta,tad->td", x_u[mesh.triangles], mesh.gradients)
     l2 = np.empty(mesh.num_triangles)
     h1 = np.empty(mesh.num_triangles)
     for blk, x, y in quadrature_blocks(mesh, rule):
@@ -62,8 +61,8 @@ def h1h_error_u(mesh: Mesh, x_u: np.ndarray, exact_u: Callable,
         l2[blk] = err**2 @ rule.weights
         g_err = exact_grad_u(x, y) - grad_h[blk].T[:, :, None]  # (2, len(blk), q)
         h1[blk] = (g_err**2).sum(axis=0) @ rule.weights
-    l2_sq = _integrate(areas, l2)
-    h1_sq = _integrate(areas, h1)
+    l2_sq = _integrate(mesh.areas, l2)
+    h1_sq = _integrate(mesh.areas, h1)
 
     erule = edge_quadrature(DATA_EDGE_DEGREE)
     xk = edge_points(mesh, erule)
@@ -78,14 +77,13 @@ def h1h_error_u(mesh: Mesh, x_u: np.ndarray, exact_u: Callable,
 def l2_error_sigma(mesh: Mesh, x_sigma: np.ndarray, exact_grad_u: Callable) -> float:
     """||grad u - sigma_h||_{0,Omega} for the P1-per-component field sigma_h."""
     rule = triangle_quadrature(DATA_TRI_DEGREE)
-    areas, _ = all_element_geometry(mesh)
     sigma = x_sigma.reshape(2, mesh.num_vertices)
     per = np.empty(mesh.num_triangles)
     for blk, x, y in quadrature_blocks(mesh, rule):
         err = sigma[:, mesh.triangles[blk]] @ rule.points.T  # (2, len(blk), q)
         np.subtract(exact_grad_u(x, y), err, out=err)
         per[blk] = (err**2).sum(axis=0) @ rule.weights
-    return math.sqrt(_integrate(areas, per))
+    return math.sqrt(_integrate(mesh.areas, per))
 
 
 def convergence_rates(errors: Sequence[float]) -> np.ndarray:
@@ -127,6 +125,12 @@ class ErrorTable:
     rate_u_l2 = property(lambda self: _rates_column(self.err_u_l2))
     rate_u_h1h = property(lambda self: _rates_column(self.err_u_h1h))
     rate_sigma_l2 = property(lambda self: _rates_column(self.err_sigma_l2))
+
+    def __post_init__(self):
+        for name in ("elements", "err_u_l2", "err_u_h1h", "err_sigma_l2"):
+            if (size := len(getattr(self, name))) != len(self.levels):
+                raise ValueError(f"column {name} has {size} entries for "
+                                 f"{len(self.levels)} levels")
 
     def rows(self):
         """(elements, err, rate, err, rate, err, rate) per level, coarsest first."""

@@ -35,7 +35,7 @@ from .femcore import (
     triangle_quadrature,
 )
 from .linsolve import canonical
-from .mesh import Mesh, all_element_geometry, p1_pattern
+from .mesh import Mesh
 from .problems import ProblemData
 
 
@@ -73,7 +73,7 @@ class BlockSystem:
 
 def _on_pattern(mesh: Mesh, local: np.ndarray) -> scipy.sparse.csr_array:
     """Sum element matrices (T, 3, 3) onto the mesh's P1 pattern (not canonical)."""
-    indptr, indices, slot = p1_pattern(mesh)
+    indptr, indices, slot = mesh.p1_pattern
     data = np.bincount(slot, weights=local.ravel(), minlength=indices.size)
     nvert = mesh.num_vertices
     return scipy.sparse.csr_array((data, indices, indptr), shape=(nvert, nvert))
@@ -86,7 +86,7 @@ def assemble(mesh: Mesh, data: ProblemData) -> BlockSystem:
     """
     nvert = mesh.num_vertices
     tri = mesh.triangles
-    areas, grads = all_element_geometry(mesh)
+    areas, grads = mesh.areas, mesh.gradients
 
     rule = triangle_quadrature(P1_TRI_DEGREE)
     shp = rule.points                      # (q, 3) P1 values = barycentrics

@@ -17,7 +17,7 @@ import argparse
 import sys
 import time
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -154,19 +154,8 @@ class StudyResult:
     solutions: tuple[LevelRecord, ...]
 
     def solver_reports(self) -> list[dict]:
-        return [
-            {
-                "level": sol.level,
-                "iterations": sol.report.iterations,
-                "initial_residual": sol.report.initial_residual,
-                "relative_residual": sol.report.relative_residual,
-                "converged": sol.report.converged,
-                "preconditioner": sol.report.preconditioner,
-                "mg_levels": sol.report.mg_levels,
-                "wall_time": sol.report.wall_time,
-            }
-            for sol in self.solutions
-        ]
+        """Each level's `SolveReport` fields, after its level."""
+        return [{"level": rec.level} | asdict(rec.report) for rec in self.solutions]
 
     def render(self, fmt: str) -> str:
         """The report as "markdown", "csv" or "json", with the config embedded."""
@@ -275,6 +264,8 @@ def _study_problem(config: StudyConfig, data: ProblemData | None) -> ProblemData
     """The validated problem of a study: `data`, or the configured example."""
     config.validate()
     if data is None:
+        if config.example is ExampleId.CUSTOM:
+            raise ConfigError("the custom example has no built-in problem data")
         data = by_id(config.example)
     if data.exact_u is None or data.exact_grad_u is None:
         raise ConfigError("convergence studies need a manufactured solution")
@@ -346,14 +337,14 @@ def _rel_max_diff(got: np.ndarray, want: np.ndarray) -> float:
 
 
 def run_oracle_check(config: StudyConfig) -> OracleCheckResult:
-    """Compare the condensed pipeline against the dense full-saddle solve."""
-    config.validate()
+    """Compare the condensed pipeline against the dense full-saddle solve
+    of a built-in example."""
+    data = _study_problem(config, None)
     if max(config.levels) > ORACLE_MAX_LEVEL:
         raise ConfigError(
             f"the full-saddle oracle is restricted to levels <= {ORACLE_MAX_LEVEL}"
         )
     config = replace(config, cg_tol=min(config.cg_tol, 1e-13))
-    data = by_id(config.example)
 
     d_u, d_s, d_p = [], [], []
     for sol in walk_levels(config, data):

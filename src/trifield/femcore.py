@@ -5,8 +5,8 @@ P1-spanned basis that is biorthogonal to the barycentric basis element
 by element (integral of rho_i * mu_j over T equals |T|/3 * delta_ij)
 while still summing to one pointwise; it is fixed, not a parameter.
 There are two triangle rules, one per fixed degree the pipeline uses.
-Everything here is pure; the rules are built once per degree and
-shared, read-only.
+Everything here is pure. The triangle rules are stored at import, the
+edge rules built on first use; each degree has one shared, read-only rule.
 """
 
 from __future__ import annotations
@@ -53,9 +53,9 @@ class QuadratureRule:
         self.weights.flags.writeable = False
 
 
-# Symmetric rules on the reference triangle, stored as barycentric points
-# with weights normalised to sum to 1; scaled to the 1/2 convention below.
-def _tri_points(groups):
+# Symmetric rules on the reference triangle, given as barycentric orbits
+# with weights normalised to sum to 1 and stored in the 1/2 convention.
+def _tri_points(groups) -> QuadratureRule:
     pts, wts = [], []
     for kind, coords, w in groups:
         if kind == "sym3":
@@ -66,7 +66,7 @@ def _tri_points(groups):
             perms = [(a, b, c), (a, c, b), (b, a, c), (b, c, a), (c, a, b), (c, b, a)]
         pts.extend(perms)
         wts.extend([w] * len(perms))
-    return np.array(pts), np.array(wts)
+    return QuadratureRule(points=np.array(pts), weights=0.5 * np.array(wts))
 
 
 _TRIANGLE_RULES = {
@@ -86,19 +86,17 @@ _TRIANGLE_RULES = {
 }
 
 
-@cache
 def triangle_quadrature(degree: int) -> QuadratureRule:
     """Symmetric rule on the reference triangle, exact to the given degree.
 
-    Built once per degree; every call returns the same read-only rule.
+    Every call returns the same read-only rule, stored once per degree.
     """
     if degree not in _TRIANGLE_RULES:
         raise ValueError(
             f"unsupported triangle quadrature degree {degree}; "
             f"available: {sorted(_TRIANGLE_RULES)}"
         )
-    points, weights = _TRIANGLE_RULES[degree]
-    return QuadratureRule(points=points.copy(), weights=0.5 * weights)
+    return _TRIANGLE_RULES[degree]
 
 
 @cache

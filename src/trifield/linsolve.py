@@ -88,14 +88,16 @@ def cg_solve(
     ||b - a x|| / ||b|| <= tol, from any start. Any finite b is solved
     alike, however tiny or large: CG iterates on b and x0 scaled by the
     same power of two, which brings b to order one. b = 0 returns x = 0
-    at once. Raises ValueError, before any work, unless a is square and
-    b and any x0 have one finite entry per row.
+    at once. Raises ValueError, before any work, unless a is square,
+    b and any x0 have one finite entry per row, and maxit is an integer >= 1.
     Returns early with indefinite=True if a search direction has
     non-positive curvature or a residual has r.z <= 0, which an SPD
     operator with an SPD preconditioner never gives.
     """
     if not 0.0 < tol < 1.0:
         raise ValueError(f"tolerance must be in (0, 1), got {tol}")
+    if not isinstance(maxit, (int, np.integer)) or isinstance(maxit, bool) or maxit < 1:
+        raise ValueError(f"maxit must be an integer >= 1, got {maxit!r}")
     b = np.asarray(b, dtype=float)
     n = a.shape[0]
     if a.shape != (n, n) or b.shape != (n,):
@@ -124,8 +126,6 @@ def cg_solve(
     _, exponent = math.frexp(np.abs(b).max(initial=0.0))
     b = np.ldexp(b, -exponent)
 
-    initial = 1.0
-
     def report(x, iterations, rel, converged, indefinite=False):
         return np.ldexp(x, exponent), SolveReport(
             iterations, float(rel), converged, time.perf_counter() - t0, indefinite,
@@ -137,17 +137,14 @@ def cg_solve(
         initial = 0.0
         return report(np.zeros_like(b), 0, 0.0, True)
 
-    if x0 is None:
-        x = np.zeros_like(b)
-        r = b.copy()
-    else:
-        x = np.ldexp(x0, -exponent)
-        r = b - a @ x
-        # a start that already solves the system has r = 0, hence r.z = 0,
-        # which the loop would report as negative curvature
-        initial = np.linalg.norm(r) / norm_b
-        if initial <= tol:
-            return report(x, 0, initial, True)
+    # from zero, r = b costs no product with a
+    x = np.zeros_like(b) if x0 is None else np.ldexp(x0, -exponent)
+    r = b.copy() if x0 is None else b - a @ x
+    # a start that already solves the system has r = 0, hence r.z = 0,
+    # which the loop would report as negative curvature
+    initial = np.linalg.norm(r) / norm_b
+    if initial <= tol:
+        return report(x, 0, initial, True)
     p = None
     iterations = 0
     while iterations < maxit:

@@ -3,10 +3,11 @@
 A mesh is its vertices and counterclockwise triangles. The structured
 grid is n x n square cells, each cut along the lower-left to upper-right
 diagonal, giving 2*n^2 triangles with vertices numbered row-major (x
-fastest). The element geometry, the P1 sparsity pattern that assembly
-sums onto, and the boundary edges with their outward unit normals and
-lengths h_e (which the edge-wise boundary norms and the Nitsche terms
-need) are derived from the triangles once per mesh, on first use.
+fastest). The element geometry (`areas`, `gradients`), the P1 sparsity
+pattern that assembly sums onto (`p1_pattern`), and the boundary edges
+with their outward unit normals and lengths h_e (which the edge-wise
+boundary norms and the Nitsche terms need) are read-only attributes,
+derived from the triangles once per mesh, on first use.
 Halving the grid nests the triangulations, and `prolongation` gives the
 exact P1 interpolation between two nested levels.
 """
@@ -45,28 +46,49 @@ class Mesh:
             arr.flags.writeable = False
 
     @cached_property
-    def _geometry(self) -> tuple[np.ndarray, np.ndarray]:
-        p = self.vertices[self.triangles]  # (T, 3, 2)
+    def areas(self) -> np.ndarray:
+        """Area of every triangle, (T,); raises ValueError unless all are
+        positive, i.e. every triangle is counterclockwise and nondegenerate."""
+        # (T, 3, 2); np.take gathers these rows ~6x faster than fancy indexing
+        # (numpy 2.4, n=256: 0.9 against 6.3 ms)
+        p = np.take(self.vertices, self.triangles, axis=0)
         d1 = p[:, 1] - p[:, 0]
         d2 = p[:, 2] - p[:, 0]
         twice_area = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
         if np.any(twice_area <= 0.0):
             raise ValueError("mesh contains a non-counterclockwise or degenerate triangle")
+        areas = 0.5 * twice_area
+        areas.flags.writeable = False
+        return areas
 
+    @cached_property
+    def gradients(self) -> np.ndarray:
+        """Barycentric gradients (T, 3, 2): row [t, a] is the constant
+        gradient of the barycentric coordinate of local vertex a of triangle t."""
+        p = np.take(self.vertices, self.triangles, axis=0)
         grads = np.empty((self.num_triangles, 3, 2))
         # grad(lambda_a) = rot90(p_{a+2} - p_{a+1}) / (2 |T|)
         for a in range(3):
             e = p[:, (a + 2) % 3] - p[:, (a + 1) % 3]
             grads[:, a, 0] = -e[:, 1]
             grads[:, a, 1] = e[:, 0]
-        grads /= twice_area[:, None, None]
-        areas = 0.5 * twice_area
-        areas.flags.writeable = False
+        grads /= (2.0 * self.areas)[:, None, None]
         grads.flags.writeable = False
-        return areas, grads
+        return grads
 
     @cached_property
-    def _p1_pattern(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def p1_pattern(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """CSR pattern (indptr, indices) of the P1 vertex adjacency, and the slot map.
+
+        Row i holds every vertex that shares a triangle with vertex i,
+        itself included, with column indices sorted. slot[9t + 3a + b] is
+        the index into the pattern's data of the entry coupling local
+        vertices a and b of triangle t, so an element matrix array
+        (T, 3, 3) assembles as `np.bincount(slot, local.ravel(),
+        minlength=indices.size)`, which sums the contributions to each
+        entry in element order. Entries that cancel stay in the pattern as
+        stored zeros. Built for any triangulation; the arrays are int32.
+        """
         nvert = self.num_vertices
         tri = self.triangles.astype(np.int64, copy=False)
         # key of local entry (t, a, b) at flat index 9t + 3a + b
@@ -88,8 +110,8 @@ class Mesh:
 
     @cached_property
     def _boundary(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        self._geometry  # outward normals need counterclockwise triangles
-        _, indices, slot = self._p1_pattern
+        self.areas  # outward normals need counterclockwise triangles
+        _, indices, slot = self.p1_pattern
         slot = slot.reshape(-1, 9)
         # the edge a -> b of a triangle is interior when another triangle
         # has the edge b -> a: mark the pattern entries (b, a) of all the
@@ -115,10 +137,6 @@ class Mesh:
     def num_triangles(self) -> int:
         return self.triangles.shape[0]
 
-    @property
-    def num_boundary_edges(self) -> int:
-        return self.boundary_edges.shape[0]
-
 
 def build_structured_unit_square(n: int) -> Mesh:
     """Triangulate [0,1]^2 with an n x n grid of diagonally split cells."""
@@ -138,33 +156,6 @@ def build_structured_unit_square(n: int) -> Mesh:
     triangles = np.column_stack([v00, v10, v11, v00, v11, v01]).reshape(-1, 3)
 
     return Mesh(vertices=vertices, triangles=triangles, level=n)
-
-
-def all_element_geometry(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
-    """Areas (T,) and barycentric gradients (T, 3, 2) for every triangle.
-
-    grad_lambda[t, a] is the constant gradient of the barycentric
-    coordinate attached to local vertex a of triangle t. Computed on the
-    first call and kept on the mesh; the arrays are read-only and every
-    later call returns the same objects.
-    """
-    return mesh._geometry
-
-
-def p1_pattern(mesh: Mesh) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """CSR pattern (indptr, indices) of the P1 vertex adjacency, and the slot map.
-
-    Row i holds every vertex that shares a triangle with vertex i, itself
-    included, with column indices sorted. slot[9t + 3a + b] is the index
-    into the pattern's data of the entry coupling local vertices a and b
-    of triangle t, so an element matrix array (T, 3, 3) assembles as
-    `np.bincount(slot, local.ravel(), minlength=indices.size)`, which
-    sums the contributions to each entry in element order. Entries that
-    cancel stay in the pattern as stored zeros. Built for any
-    triangulation on the first call and kept on the mesh; the int32
-    arrays are read-only and every later call returns the same objects.
-    """
-    return mesh._p1_pattern
 
 
 def prolongation(n_coarse: int) -> scipy.sparse.csr_array:

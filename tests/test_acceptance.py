@@ -20,7 +20,7 @@ from trifield.cli import StudyConfig, run_oracle_check, run_study, walk_levels
 from trifield.condense import condense, recover_phi, recover_sigma
 from trifield.femcore import edge_quadrature, triangle_quadrature
 from trifield.linsolve import cg_solve
-from trifield.mesh import all_element_geometry, build_structured_unit_square
+from trifield.mesh import build_structured_unit_square
 from trifield.problems import ExampleId, by_id, example1, example2
 
 R, ALPHA = 0.5, 10.0
@@ -119,7 +119,7 @@ def test_criterion_6_biorthogonality():
         diag = np.diag(pairing).copy()
         worst_off = max(worst_off, np.abs(pairing - np.diag(diag)).max())
 
-        areas, _ = all_element_geometry(mesh)
+        areas = mesh.areas
         want = np.zeros(mesh.num_vertices)
         for t, tri in enumerate(mesh.triangles):
             want[tri] += areas[t] / 3.0

@@ -212,3 +212,12 @@ def test_measured_rates_on_polynomial_problem():
     assert abs(ratio - 4.0) <= 0.3
     assert 0.9 <= table.rate_u_h1h[-1] <= 1.15
     assert 1.3 <= table.rate_sigma_l2[-1] <= 1.7
+
+
+def test_error_table_rejects_columns_of_other_lengths():
+    columns = dict(levels=(2, 4), elements=(8, 32), err_u_l2=(1.0, 0.25),
+                   err_u_h1h=(2.0, 1.0), err_sigma_l2=(3.0, 1.0))
+    ErrorTable(**columns)
+    for name in ("elements", "err_u_l2", "err_u_h1h", "err_sigma_l2"):
+        with pytest.raises(ValueError, match=f"column {name} has 1 entries for 2 levels"):
+            ErrorTable(**columns | {name: columns[name][:1]})

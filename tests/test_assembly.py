@@ -13,12 +13,12 @@ from test_mesh import shuffled
 from trifield.assembly import assemble
 from trifield.femcore import dual_values, edge_quadrature, edge_traces, triangle_quadrature
 from trifield.linsolve import canonical
-from trifield.mesh import all_element_geometry, build_structured_unit_square
+from trifield.mesh import build_structured_unit_square
 from trifield.problems import example1, example2, linear_patch
 
 
 def eval_grad_grad(mesh, x_dofs, y_dofs):
-    areas, grads = all_element_geometry(mesh)
+    areas, grads = mesh.areas, mesh.gradients
     total = 0.0
     for t, tri in enumerate(mesh.triangles):
         gu = sum(x_dofs[tri[a]] * grads[t, a] for a in range(3))
@@ -29,7 +29,7 @@ def eval_grad_grad(mesh, x_dofs, y_dofs):
 
 def eval_vector_mass(mesh, x_vec, y_vec):
     nvert = mesh.num_vertices
-    areas, _ = all_element_geometry(mesh)
+    areas = mesh.areas
     rule = triangle_quadrature(2)
     total = 0.0
     for t, tri in enumerate(mesh.triangles):
@@ -44,7 +44,7 @@ def eval_vector_mass(mesh, x_vec, y_vec):
 
 def eval_dual_vector_pairing(mesh, tau_vec, phi_vec):
     nvert = mesh.num_vertices
-    areas, _ = all_element_geometry(mesh)
+    areas = mesh.areas
     rule = triangle_quadrature(2)
     mu = dual_values(rule.points)
     total = 0.0
@@ -60,7 +60,7 @@ def eval_dual_vector_pairing(mesh, tau_vec, phi_vec):
 
 def eval_grad_dual(mesh, v_dofs, phi_vec):
     nvert = mesh.num_vertices
-    areas, grads = all_element_geometry(mesh)
+    areas, grads = mesh.areas, mesh.gradients
     rule = triangle_quadrature(2)
     mu = dual_values(rule.points)
     total = 0.0
@@ -118,7 +118,7 @@ def triplet_reference(mesh, local):
 def pairing_reference(mesh):
     """Dense full pairing int_Omega rho_i mu_j dx, all nine local couplings
     summed, so that its off-diagonal entries are measured, not assumed zero."""
-    areas, _ = all_element_geometry(mesh)
+    areas = mesh.areas
     rule = triangle_quadrature(2)
     local = np.einsum("q,qa,qb->ab", rule.weights, rule.points, dual_values(rule.points))
     return triplet_reference(mesh, (2.0 * areas)[:, None, None] * local)
@@ -186,7 +186,7 @@ def test_boundary_structure(system_n3):
 def test_dual_pairing_diagonal_value(system_n3):
     mesh, blocks = system_n3
     nvert = mesh.num_vertices
-    areas, _ = all_element_geometry(mesh)
+    areas = mesh.areas
     want = np.zeros(nvert)
     for t, tri in enumerate(mesh.triangles):
         for a in range(3):
@@ -204,7 +204,7 @@ def test_biorthogonality_of_assembled_pairing(n):
     off = pairing - np.diag(diag)
     assert np.abs(off).max() <= 1e-13
 
-    areas, _ = all_element_geometry(mesh)
+    areas = mesh.areas
     want = np.zeros(mesh.num_vertices)
     for t, tri in enumerate(mesh.triangles):
         want[tri] += areas[t] / 3.0
@@ -217,7 +217,7 @@ def test_volume_blocks_match_triplet_reference_bitwise(n):
     # triplet reference does, so the blocks agree to the last bit
     mesh = build_structured_unit_square(n)
     blocks = assemble(mesh, example2())
-    areas, grads = all_element_geometry(mesh)
+    areas, grads = mesh.areas, mesh.gradients
     rule = triangle_quadrature(2)
     w, lam = rule.weights, rule.points
     mu = dual_values(lam)

@@ -16,6 +16,7 @@ from trifield.cli import (
     run_study,
     walk_levels,
 )
+from trifield.linsolve import SolveReport
 from trifield.problems import ExampleId, linear_patch
 
 PATCH_ARGS = ["--example", "patch", "--levels", "2,4"]
@@ -146,6 +147,29 @@ def test_run_study_accepts_custom_problem():
     result = run_study(config, data=data)
     assert 1.7 <= result.table.rate_u_l2[-1] <= 2.3
     assert result.table.err_u_l2[-1] < result.table.err_u_l2[0]
+
+
+def test_custom_example_without_data_is_a_config_error(monkeypatch):
+    # refused before any level is solved, as every other bad config is
+    def solve_level(*args):
+        raise AssertionError("a level was solved")
+
+    monkeypatch.setattr(trifield.cli, "solve_level", solve_level)
+    config = StudyConfig(example=ExampleId.CUSTOM, levels=(2,))
+    for run in (run_study, run_oracle_check):
+        with pytest.raises(ConfigError, match="custom example"):
+            run(config)
+
+
+def test_solver_record_is_the_solve_report():
+    # a field added to SolveReport reaches both records without an edit in cli
+    result = run_study(StudyConfig(example=ExampleId.LINEAR_PATCH, levels=(2, 4)))
+    fields = {"level"} | {f.name for f in dataclasses.fields(SolveReport)}
+    for record in result.solver_reports():
+        assert set(record) == fields
+    for level in json.loads(result.render("json"))["levels"]:
+        assert set(level["solver"]) == fields - {"wall_time"}
+        assert level["solver"]["indefinite"] is False
 
 
 def nan_source_problem():

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -187,6 +188,30 @@ def test_cg_rejects_mismatched_shapes():
         cg_solve(rect, np.ones(5))
     with pytest.raises(ValueError, match=r"\(5, 5\) with start \(4,\)"):
         cg_solve(eye(5), np.ones(5), x0=np.ones(4))
+
+
+def test_cg_rejects_invalid_maxit():
+    # a negative cap would report "not converged" after 0 iterations, and
+    # a fractional or boolean one would run
+    for bad in (0, -5, 2.5, np.float64(3.0), True, "10"):
+        with pytest.raises(ValueError, match=re.escape(f"got {bad!r}")):
+            cg_solve(eye(3), np.ones(3), maxit=bad)
+    for good in (1, np.int64(1), np.int32(5)):
+        assert cg_solve(eye(3), np.ones(3), maxit=good)[1].converged
+
+
+def test_cg_zero_start_is_the_default_start():
+    # an explicit zero start takes the same path as none: r = b, the same
+    # iterates, and an initial residual of exactly 1
+    rng = np.random.default_rng(8)
+    root = rng.standard_normal((20, 20))
+    mat = scipy.sparse.csr_array(root @ root.T + 20.0 * np.eye(20))
+    b = rng.standard_normal(20)
+    x, report = cg_solve(mat, b)
+    x_zero, zero = cg_solve(mat, b, x0=np.zeros(20))
+    np.testing.assert_array_equal(x_zero, x)
+    assert zero.iterations == report.iterations
+    assert zero.initial_residual == report.initial_residual == 1.0
 
 
 def test_cg_rejects_non_finite_rhs():

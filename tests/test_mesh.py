@@ -3,14 +3,7 @@ import pytest
 import scipy.sparse
 
 from trifield.linsolve import canonical
-from trifield.mesh import (
-    Mesh,
-    all_element_geometry,
-    build_structured_unit_square,
-    p1_pattern,
-    prolongation,
-    write_mesh_files,
-)
+from trifield.mesh import Mesh, build_structured_unit_square, prolongation, write_mesh_files
 
 
 @pytest.mark.parametrize(
@@ -21,7 +14,7 @@ def test_entity_counts(n, triangles, vertices, edges):
     mesh = build_structured_unit_square(n)
     assert mesh.num_triangles == triangles == 2 * n * n
     assert mesh.num_vertices == vertices == (n + 1) ** 2
-    assert mesh.num_boundary_edges == edges == 4 * n
+    assert len(mesh.boundary_edges) == edges == 4 * n
 
 
 def test_rejects_level_zero():
@@ -32,7 +25,7 @@ def test_rejects_level_zero():
 @pytest.mark.parametrize("n", [1, 2, 3, 8, 16])
 def test_areas_cover_unit_square(n):
     mesh = build_structured_unit_square(n)
-    areas, _ = all_element_geometry(mesh)
+    areas = mesh.areas
     assert np.all(areas > 0.0)
     assert abs(areas.sum() - 1.0) < 1e-12
 
@@ -112,7 +105,7 @@ def test_boundary_arrays_are_cached_and_read_only():
 
 def test_element_geometry_structured_area():
     mesh = build_structured_unit_square(2)
-    areas, _ = all_element_geometry(mesh)
+    areas = mesh.areas
     assert areas.shape == (mesh.num_triangles,)
     np.testing.assert_allclose(areas, 0.125, rtol=0, atol=1e-15)
 
@@ -124,7 +117,7 @@ def test_element_geometry_reference_triangle():
         triangles=np.array([[0, 1, 2]]),
         level=0,
     )
-    areas, grads = all_element_geometry(mesh)
+    areas, grads = mesh.areas, mesh.gradients
     assert areas[0] == 0.5
     np.testing.assert_allclose(grads[0, 0], [-1.0, -1.0], atol=1e-15)
     np.testing.assert_allclose(grads[0, 1], [1.0, 0.0], atol=1e-15)
@@ -134,16 +127,16 @@ def test_element_geometry_reference_triangle():
 @pytest.mark.parametrize("n", [1, 3, 6])
 def test_barycentric_gradients_sum_to_zero(n):
     mesh = build_structured_unit_square(n)
-    _, grads = all_element_geometry(mesh)
+    grads = mesh.gradients
     np.testing.assert_allclose(grads.sum(axis=1), 0.0, atol=1e-14)
 
 
 @pytest.mark.parametrize("n", [1, 3, 7])
-def test_element_geometry_is_row_of_all_element_geometry(n):
+def test_element_geometry_rows_match_each_triangle(n):
     # row t against the geometry of triangle t computed on its own: the
     # barycentric gradients are the rows of the inverse edge-vector matrix
     mesh = build_structured_unit_square(n)
-    areas, grads = all_element_geometry(mesh)
+    areas, grads = mesh.areas, mesh.gradients
     for t in sorted({0, 1, mesh.num_triangles // 2, mesh.num_triangles - 1}):
         p0, p1, p2 = mesh.vertices[mesh.triangles[t]]
         jac = np.column_stack([p1 - p0, p2 - p0])
@@ -155,9 +148,8 @@ def test_element_geometry_is_row_of_all_element_geometry(n):
 
 def test_element_geometry_is_cached_and_read_only():
     mesh = build_structured_unit_square(4)
-    areas, grads = all_element_geometry(mesh)
-    again = all_element_geometry(mesh)
-    assert again[0] is areas and again[1] is grads
+    areas, grads = mesh.areas, mesh.gradients
+    assert mesh.areas is areas and mesh.gradients is grads
     for arr in (areas, grads):
         with pytest.raises(ValueError):
             arr[0] = 1.0
@@ -173,9 +165,9 @@ def clockwise_triangle():
 
 def test_degenerate_mesh_is_rejected_by_geometry():
     mesh = clockwise_triangle()
-    for _ in range(2):  # a failed computation is not cached
-        with pytest.raises(ValueError):
-            all_element_geometry(mesh)
+    for name in ("areas", "gradients", "areas"):  # a failed computation is not cached
+        with pytest.raises(ValueError, match="counterclockwise"):
+            getattr(mesh, name)
 
 
 @pytest.mark.parametrize("name", ["boundary_edges", "boundary_normal", "boundary_length"])
@@ -189,9 +181,8 @@ def test_clockwise_mesh_has_no_boundary(name):
 
 def test_p1_pattern_is_cached_read_only_and_sorted():
     mesh = build_structured_unit_square(5)
-    indptr, indices, slot = p1_pattern(mesh)
-    again = p1_pattern(mesh)
-    assert all(x is y for x, y in zip(again, (indptr, indices, slot)))
+    indptr, indices, slot = mesh.p1_pattern
+    assert all(x is y for x, y in zip(mesh.p1_pattern, (indptr, indices, slot)))
     for arr in (indptr, indices, slot):
         assert arr.dtype == np.int32
         with pytest.raises(ValueError):
@@ -224,9 +215,9 @@ def test_p1_slot_map_round_trips(n, seed):
     # order of the triangles and of their vertices
     mesh = build_structured_unit_square(n)
     if seed is not None:
-        structured = p1_pattern(mesh)
+        structured = mesh.p1_pattern
         mesh = shuffled(mesh, seed)
-    indptr, indices, slot = p1_pattern(mesh)
+    indptr, indices, slot = mesh.p1_pattern
     if seed is not None:
         np.testing.assert_array_equal(indptr, structured[0])
         np.testing.assert_array_equal(indices, structured[1])
@@ -273,7 +264,7 @@ def test_numbering_matches_loop_built_reference(n):
     triangles, boundary = loop_built_square(n)
     assert mesh.triangles.dtype == triangles.dtype
     np.testing.assert_array_equal(mesh.triangles, triangles)
-    assert mesh.num_boundary_edges == len(boundary)
+    assert len(mesh.boundary_edges) == len(boundary)
     assert boundary_of(mesh) == boundary
     np.testing.assert_allclose(mesh.boundary_length, 1.0 / n, rtol=1e-15)
 
@@ -295,7 +286,7 @@ def test_jittered_interior_keeps_the_structured_boundary():
     rng = np.random.default_rng(3)
     vertices[interior] += rng.uniform(-0.2, 0.2, (interior.sum(), 2)) / n
     jittered = Mesh(vertices=vertices, triangles=mesh.triangles, level=n)
-    assert np.all(all_element_geometry(jittered)[0] > 0.0)
+    assert np.all(jittered.areas > 0.0)
     assert boundary_of(jittered) == loop_built_square(n)[1]
     np.testing.assert_allclose(jittered.boundary_length, 1.0 / n, rtol=1e-15)
 
