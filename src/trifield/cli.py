@@ -75,14 +75,14 @@ class SolverFailure(RuntimeError):
 @dataclass(frozen=True)
 class StudyConfig:
     """The parameters of one convergence study: every value that changes
-    its numbers. How the report is written is the caller's choice."""
+    its numbers. How the report is written is the caller's choice. CG
+    stops when it converges or stagnates (`linsolve.cg_solve`)."""
 
     example: ExampleId = ExampleId.EXAMPLE1
     levels: tuple[int, ...] = DEFAULT_LEVELS
     r: float = 0.5
     alpha: float = 10.0
     cg_tol: float = 1e-12
-    cg_maxit: int = 20000
 
     def validate(self) -> None:
         if not isinstance(self.example, ExampleId):
@@ -109,11 +109,8 @@ class StudyConfig:
                 "each level must double the previous one; the rate columns "
                 "are log2 ratios under mesh halving"
             )
-        if not 0.0 < self.cg_tol < 1.0:
-            raise ConfigError(f"cg tolerance must be in (0, 1), got {self.cg_tol}")
-        if type(self.cg_maxit) is not int or self.cg_maxit < 1:
-            raise ConfigError(
-                f"cg_maxit must be a positive integer, got {self.cg_maxit!r}")
+        if not np.finfo(float).eps <= self.cg_tol < 1.0:  # b - K x rounds at eps ||b||
+            raise ConfigError(f"cg tolerance must be in [eps, 1), got {self.cg_tol}")
 
     def echo(self) -> dict:
         """The fields as JSON values, for the report's config record."""
@@ -222,7 +219,7 @@ def _solve_condensed(
     """
     hierarchy = multigrid_hierarchy(n)
     if not hierarchy:
-        return cg_solve(system.K, system.F, tol=config.cg_tol, maxit=config.cg_maxit)
+        return cg_solve(system.K, system.F, tol=config.cg_tol)
     t0 = time.perf_counter()
     prolongations = [prolongation(m) for m in hierarchy[1:]]
     x0 = None if coarse is None else prolongations[0] @ coarse
@@ -233,7 +230,7 @@ def _solve_condensed(
         report = SolveReport(0, 1.0, False, 0.0, indefinite=True)
     else:
         x_u, report = cg_solve(system.K, system.F, tol=config.cg_tol,
-                               maxit=config.cg_maxit, precond=precond, x0=x0)
+                               precond=precond, x0=x0)
     return x_u, replace(report, wall_time=time.perf_counter() - t0,
                         preconditioner="multigrid", mg_levels=len(hierarchy))
 
@@ -371,7 +368,7 @@ def _export_levels(levels: Iterable[LevelSolution],
             write_mesh_files(sol.mesh, args.export_mesh)
         if args.export_matrices is not None:
             directory, n = args.export_matrices, sol.level
-            write_matrix_market(sol.system.K, directory / f"K-n{n}.mtx", symmetric=True)
+            write_matrix_market(sol.system.K, directory / f"K-n{n}.mtx")
             for name in ("S", "M", "A", "B", "C"):
                 write_matrix_market(
                     getattr(sol.blocks, name), directory / f"{name}-n{n}.mtx"
@@ -405,8 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="boundary penalty weight (default: %(default)s)")
     parser.add_argument("--cg-tol", type=float, default=defaults.cg_tol,
                         help="relative CG residual tolerance (default: %(default)s)")
-    parser.add_argument("--cg-maxit", type=int, default=defaults.cg_maxit,
-                        help="CG iteration cap (default: %(default)s)")
     parser.add_argument("--format", choices=("csv", "md", "json"), default="md",
                         help="output format (default: %(default)s)")
     parser.add_argument("--out", type=Path, default=None,
@@ -432,7 +427,6 @@ def config_from_args(args: argparse.Namespace) -> StudyConfig:
         r=args.r,
         alpha=args.alpha,
         cg_tol=args.cg_tol,
-        cg_maxit=args.cg_maxit,
     )
 
 

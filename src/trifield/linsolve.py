@@ -85,11 +85,14 @@ def cg_solve(
     its set-up. `x0` starts the iteration (None starts from zero); the
     report gives the true relative residual of the start, and a start
     that already meets `tol` returns after 0 iterations. Converged means
-    ||b - a x|| / ||b|| <= tol, from any start. Any finite b is solved
-    alike, however tiny or large: CG iterates on b and x0 scaled by the
-    same power of two, which brings b to order one. b = 0 returns x = 0
-    at once. Raises ValueError, before any work, unless a is square,
-    b and any x0 have one finite entry per row, and maxit is an integer >= 1.
+    ||b - a x|| / ||b|| <= tol, from any start. A true residual that
+    misses `tol` replaces the recurrence one; one no smaller than at the
+    last replacement has stagnated, and returns not converged. `maxit`
+    caps a CG that does neither. Any finite b is solved alike, however
+    tiny or large: CG iterates on b and x0 scaled by the same power of
+    two, which brings b to order one. b = 0 returns x = 0 at once.
+    Raises ValueError, before any work, unless a is square, b and any x0
+    have one finite entry per row, and maxit is an integer >= 1.
     Returns early with indefinite=True if a search direction has
     non-positive curvature or a residual has r.z <= 0, which an SPD
     operator with an SPD preconditioner never gives.
@@ -147,6 +150,7 @@ def cg_solve(
         return report(x, 0, initial, True)
     p = None
     iterations = 0
+    replaced = np.inf  # true residual norm at the last residual replacement
     while iterations < maxit:
         z = precond(r)
         rz = r @ z
@@ -165,11 +169,15 @@ def cg_solve(
         if np.linalg.norm(r) <= tol * norm_b:
             # the recurrence residual can drift from the true one near
             # machine precision; only the true residual decides, and a
-            # residual replacement restarts the search if it disagrees
-            true_r = b - a @ x
-            if np.linalg.norm(true_r) <= tol * norm_b:
-                break
-            r = true_r
+            # residual replacement restarts the search if it disagrees.
+            # A true residual no smaller than at the last replacement has
+            # reached the accuracy rounding allows: CG has stagnated
+            r = b - a @ x
+            true_norm = np.linalg.norm(r)
+            converged = bool(true_norm <= tol * norm_b)
+            if converged or true_norm >= replaced:
+                return report(x, iterations, true_norm / norm_b, converged)
+            replaced = true_norm
             p = None
 
     rel = float(np.linalg.norm(b - a @ x) / norm_b)
@@ -284,19 +292,16 @@ def dense_lu_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return scipy.linalg.lu_solve((lu, piv), b)
 
 
-def write_matrix_market(
-    a: scipy.sparse.csr_array, path: str | Path, symmetric: bool = False
-) -> Path:
-    """Write a sparse matrix in MatrixMarket coordinate/real format.
+def write_matrix_market(a: scipy.sparse.csr_array, path: str | Path) -> Path:
+    """Write a sparse matrix in MatrixMarket coordinate/real general format.
 
-    Raises OSError if the file cannot be opened for writing.
+    Every stored entry is written, so the file reads back bitwise, K
+    included. Raises OSError if the file cannot be opened for writing.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    symmetry = "symmetric" if symmetric else "general"
-    mat = scipy.sparse.tril(a) if symmetric else a
     # opened here: given a path that is a directory, mmwrite writes nothing
     # and raises nothing
     with open(path, "wb") as stream:
-        scipy.io.mmwrite(stream, mat, field="real", symmetry=symmetry)
+        scipy.io.mmwrite(stream, a, field="real", symmetry="general")
     return path

@@ -14,10 +14,11 @@ from trifield.cli import (
     main,
     run_oracle_check,
     run_study,
+    solve_level,
     walk_levels,
 )
-from trifield.linsolve import SolveReport
-from trifield.problems import ExampleId, linear_patch
+from trifield.linsolve import SolveReport, canonical
+from trifield.problems import ExampleId, example1, linear_patch
 
 PATCH_ARGS = ["--example", "patch", "--levels", "2,4"]
 
@@ -43,11 +44,15 @@ def test_config_validation():
         StudyConfig(levels=(2, 3)).validate()  # rates need halving
     with pytest.raises(ConfigError):
         StudyConfig(cg_tol=2.0).validate()
-    # values that would run and then fail in the report, run a rounded or
-    # empty CG, run as 1.0, or fail in `by_id` with a misleading message
-    for bad in (dict(cg_maxit=np.int64(100)), dict(cg_maxit=2.5),
-                dict(cg_maxit=np.nan), dict(cg_maxit=True),
-                dict(r=np.float32(0.5)), dict(alpha=True), dict(example="example1")):
+    # below machine epsilon no relative residual can be certified, and at
+    # 1e-300 CG's r.z underflows to 0 and reads as an indefinite operator
+    for tol in (1e-17, 1e-300):
+        with pytest.raises(ConfigError, match=re.escape(f"got {tol!r}")):
+            StudyConfig(cg_tol=tol).validate()
+    StudyConfig(cg_tol=np.finfo(float).eps).validate()
+    # values that would run and then fail in the report, run as 1.0, or
+    # fail in `by_id` with a misleading message
+    for bad in (dict(r=np.float32(0.5)), dict(alpha=True), dict(example="example1")):
         (name, value), = bad.items()
         with pytest.raises(ConfigError, match=f"^{name}.*got {re.escape(repr(value))}$"):
             StudyConfig(**bad).validate()
@@ -58,7 +63,7 @@ def test_config_validation():
 
 
 def test_config_has_only_the_values_that_change_the_numbers():
-    fields = ["example", "levels", "r", "alpha", "cg_tol", "cg_maxit"]
+    fields = ["example", "levels", "r", "alpha", "cg_tol"]
     assert [f.name for f in dataclasses.fields(StudyConfig)] == fields
     config = StudyConfig(levels=(2, 4))
     doc = json.loads(run_study(config).render("json"))
@@ -257,9 +262,19 @@ def test_main_invalid_config_exits_2(capsys):
 
 
 def test_main_solver_failure_exits_3(capsys):
-    code = main(["--example", "1", "--levels", "2", "--cg-maxit", "1"])
+    code = main(["--example", "1", "--levels", "64", "--cg-tol", "1e-14"])
     assert code == 3
-    assert "CG failed" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "CG failed" in err and "non-convergence" in err
+
+
+def test_a_stagnating_cg_stops_long_before_its_cap():
+    # example 1 at n = 64 cannot reach 1e-14: its true residual stalls
+    # near 5e-14, and only stagnation stops CG short of its 20,000 cap
+    report = solve_level(64, example1(), StudyConfig(cg_tol=1e-14)).report
+    assert not report.converged and not report.indefinite
+    assert report.iterations <= 60
+    assert 1e-14 < report.relative_residual < 1e-12
 
 
 def test_main_markdown_to_stdout(capsys):
@@ -341,6 +356,24 @@ def test_exports(tmp_path):
         for name in ("S", "M", "A", "B", "C"):
             assert (mat_dir / f"{name}-n{n}.mtx").exists()
         assert scipy.io.mmread(mat_dir / f"M-n{n}.mtx").shape == (2 * vertices,) * 2
+
+
+def test_exported_matrices_read_back_bitwise(tmp_path):
+    # K is symmetric only to rounding: a file holding its lower triangle
+    # differed from the solved K in about a tenth of its entries
+    config = StudyConfig(example=ExampleId.EXAMPLE1, levels=(2, 4))
+    assert main(["--example", "1", "--levels", "2,4", "--export-matrices", str(tmp_path),
+                 "--out", str(tmp_path / "t.md")]) == 0
+    for sol in walk_levels(config, example1()):
+        matrices = {"K": sol.system.K} | {
+            name: getattr(sol.blocks, name) for name in ("S", "M", "A", "B", "C")}
+        for name, want in matrices.items():
+            path = tmp_path / f"{name}-n{sol.level}.mtx"
+            assert path.read_text().splitlines()[0].split()[-1] == "general"
+            got = canonical(scipy.io.mmread(path))
+            for attr in ("shape", "indptr", "indices"):
+                assert np.array_equal(getattr(got, attr), getattr(want, attr)), (path, attr)
+            assert got.data.tobytes() == want.data.tobytes(), path
 
 
 def test_a_failed_level_keeps_the_earlier_levels_files(tmp_path, monkeypatch, capsys):

@@ -359,18 +359,11 @@ def test_matrix_market_round_trip(tmp_path):
     rng = np.random.default_rng(77)
     mat, dense = random_sparse(rng, 6, 4)
     path = write_matrix_market(mat, tmp_path / "general.mtx")
+    assert "general" in path.read_text().splitlines()[0]
     back = scipy.io.mmread(path).toarray()
-    np.testing.assert_allclose(back, dense, atol=0.0)
-
-    sym_dense = dense[:4, :4] + dense[:4, :4].T
-    sym = scipy.sparse.csr_array(sym_dense)
-    path = write_matrix_market(sym, tmp_path / "sym.mtx", symmetric=True)
-    text = path.read_text()
-    assert "symmetric" in text.splitlines()[0]
-    back = scipy.io.mmread(path).toarray()
-    np.testing.assert_allclose(back, sym_dense, atol=0.0)
+    assert back.tobytes() == dense.tobytes()
 
     # a path that cannot be written raises instead of writing nothing
     (tmp_path / "taken.mtx").mkdir()
     with pytest.raises(OSError):
-        write_matrix_market(sym, tmp_path / "taken.mtx")
+        write_matrix_market(mat, tmp_path / "taken.mtx")
