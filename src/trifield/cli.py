@@ -185,12 +185,15 @@ def solve_level(
                          f"({coarse_size},), got {np.shape(coarse)}")
     mesh = build_structured_unit_square(n)
     blocks = assemble(mesh, data)
-    if not all(np.all(np.isfinite(v))
-               for v in (blocks.f1_source, blocks.f1_penalty, blocks.f2)):
+    # F = f1_source + alpha f1_penalty - B D^-1 f2 carries every load and
+    # alpha, so one check covers bad data and a weight that overflows it
+    with np.errstate(over="ignore"):
+        system = condense(blocks, config.r, config.alpha)
+    if not np.all(np.isfinite(system.F)):
         raise ConfigError(
-            f"loads at level n={n} are not finite; check the source and boundary data"
+            f"loads at level n={n} are not finite with alpha = {config.alpha:g}; "
+            "check the source and boundary data and the penalty weight"
         )
-    system = condense(blocks, config.r, config.alpha)
     x_u, report = _solve_condensed(n, system, config, coarse)
     x_sigma = recover_sigma(blocks, x_u)
     return LevelSolution(mesh, blocks, system, x_u, x_sigma, report)

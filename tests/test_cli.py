@@ -1,6 +1,10 @@
 import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -259,6 +263,13 @@ def test_main_invalid_config_exits_2(capsys):
         err = capsys.readouterr().err
         assert "error: alpha must be positive and finite" in err
         assert "not finite" not in err
+    # a finite alpha that overflows example 2's load, on the Jacobi, oracle
+    # and multigrid paths
+    for extra in (["--levels", "2,4"], ["--levels", "2,4", "--oracle"], ["--levels", "64"]):
+        assert main(["--example", "2", "--alpha", "1e308", *extra]) == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1
+        assert "not finite with alpha = 1e+308" in err
 
 
 def test_main_solver_failure_exits_3(capsys):
@@ -405,3 +416,57 @@ def test_an_export_failing_mid_study_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
     assert (mat_dir / "K-n2.mtx").is_file()
     assert not (mat_dir / "K-n8.mtx").exists() and not out.exists()
+
+
+IMPORT_PROBE = """
+import json, sys, tempfile
+from pathlib import Path
+
+import numpy, scipy.sparse
+
+baseline = set(sys.modules)
+
+
+def lazy():
+    return sorted(m for m in set(sys.modules) - baseline
+                  if m.startswith(("scipy.linalg", "scipy.io")))
+
+
+from trifield.cli import StudyConfig, run_oracle_check, run_study
+from trifield.linsolve import write_matrix_market
+from trifield.problems import ExampleId
+
+out = {}
+run_study(StudyConfig(example=ExampleId.EXAMPLE1, levels=(8, 16, 32)))
+out["small_study"] = lazy()
+study = run_study(StudyConfig(example=ExampleId.EXAMPLE1, levels=(64,)))
+out["preconditioner"] = study.solver_reports()[0]["preconditioner"]
+out["multigrid"] = lazy()
+out["oracle_passed"] = run_oracle_check(
+    StudyConfig(example=ExampleId.EXAMPLE1, levels=(2, 4))).passed
+with tempfile.TemporaryDirectory() as tmp:
+    path = write_matrix_market(scipy.sparse.eye_array(3, format="csr"), Path(tmp) / "I.mtx")
+    out["header"] = path.read_text().splitlines()[0]
+out["export"] = lazy()
+print(json.dumps(out))
+"""
+
+
+def test_lapack_and_matrix_market_load_only_when_a_run_calls_them():
+    # a fresh interpreter, compared against what numpy and scipy.sparse
+    # load themselves on this scipy version
+    src = Path(trifield.cli.__file__).parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (str(src), os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", IMPORT_PROBE],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    # Jacobi-CG levels without an oracle or an export
+    assert out["small_study"] == []
+    assert out["preconditioner"] == "multigrid"
+    assert "scipy.linalg" in out["multigrid"]
+    assert not any(m.startswith("scipy.io") for m in out["multigrid"])
+    assert out["oracle_passed"]
+    assert out["header"].startswith("%%MatrixMarket matrix coordinate real general")
+    assert "scipy.io" in out["export"]
