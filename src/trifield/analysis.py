@@ -2,8 +2,10 @@
 
 The three reported quantities are the L2 error of u, the combined norm
 ||e||_{1,Omega} + ||e||_{1/2,h} (a sum of the two norms, not a root sum
-of squares), and the L2 error of the projected gradient. Rates are
-log2 ratios of successive errors under uniform mesh halving.
+of squares), and the L2 error of the projected gradient. Each norm
+squares and sums a block's errors in place, in arrays it allocated: it
+only reads what a field returns. Rates are log2 ratios of successive
+errors under uniform mesh halving.
 """
 
 from __future__ import annotations
@@ -40,7 +42,8 @@ def l2_error_u(mesh: Mesh, x_u: np.ndarray, exact_u: Callable) -> float:
     l2 = np.empty(mesh.num_triangles)
     for blk, x, y in quadrature_blocks(mesh, rule):
         err = exact_u(x, y) - x_u[mesh.triangles[blk]] @ rule.points.T
-        l2[blk] = err**2 @ rule.weights
+        err *= err
+        l2[blk] = err @ rule.weights
     return math.sqrt(_integrate(mesh.areas, l2))
 
 
@@ -58,9 +61,12 @@ def h1h_error_u(mesh: Mesh, x_u: np.ndarray, exact_u: Callable,
     h1 = np.empty(mesh.num_triangles)
     for blk, x, y in quadrature_blocks(mesh, rule):
         err = exact_u(x, y) - x_u[mesh.triangles[blk]] @ rule.points.T
-        l2[blk] = err**2 @ rule.weights
+        err *= err
+        l2[blk] = err @ rule.weights
         g_err = exact_grad_u(x, y) - grad_h[blk].T[:, :, None]  # (2, len(blk), q)
-        h1[blk] = (g_err**2).sum(axis=0) @ rule.weights
+        g_err *= g_err
+        g_err[0] += g_err[1]
+        h1[blk] = g_err[0] @ rule.weights
     l2_sq = _integrate(mesh.areas, l2)
     h1_sq = _integrate(mesh.areas, h1)
 
@@ -80,9 +86,12 @@ def l2_error_sigma(mesh: Mesh, x_sigma: np.ndarray, exact_grad_u: Callable) -> f
     sigma = x_sigma.reshape(2, mesh.num_vertices)
     per = np.empty(mesh.num_triangles)
     for blk, x, y in quadrature_blocks(mesh, rule):
-        err = sigma[:, mesh.triangles[blk]] @ rule.points.T  # (2, len(blk), q)
+        # take gathers along one axis several times faster than sigma[:, ...]
+        err = sigma.take(mesh.triangles[blk], axis=1) @ rule.points.T  # (2, len(blk), q)
         np.subtract(exact_grad_u(x, y), err, out=err)
-        per[blk] = (err**2).sum(axis=0) @ rule.weights
+        err *= err
+        err[0] += err[1]
+        per[blk] = err[0] @ rule.weights
     return math.sqrt(_integrate(mesh.areas, per))
 
 

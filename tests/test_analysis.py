@@ -17,7 +17,7 @@ from trifield.assembly import assemble
 from trifield.condense import condense, recover_sigma
 from trifield.linsolve import cg_solve
 from trifield.mesh import build_structured_unit_square
-from trifield.problems import example2, linear_patch
+from trifield.problems import example1, example2, linear_patch
 
 
 def zero_field(x, y):
@@ -99,6 +99,32 @@ def test_blocked_quadrature_matches_a_single_block(monkeypatch):
     np.testing.assert_allclose(blocked[0], whole[0], rtol=1e-14, atol=0)
     for got, want in zip(blocked[1:], whole[1:]):
         assert abs(got - want) <= 1e-14 * want
+
+
+def read_only(field):
+    def frozen(x, y):
+        out = field(x, y)
+        out.flags.writeable = False
+        return out
+
+    return frozen
+
+
+@pytest.mark.parametrize("problem", [example1, example2, linear_patch])
+def test_norms_never_write_into_field_values(problem):
+    mesh = build_structured_unit_square(8)
+    data = problem()
+    rng = np.random.default_rng(43)
+    x_u = rng.standard_normal(mesh.num_vertices)
+    x_sigma = rng.standard_normal(2 * mesh.num_vertices)
+
+    def norms(exact_u, exact_grad_u):
+        return (l2_error_u(mesh, x_u, exact_u),
+                h1h_error_u(mesh, x_u, exact_u, exact_grad_u),
+                l2_error_sigma(mesh, x_sigma, exact_grad_u))
+
+    assert (norms(read_only(data.exact_u), read_only(data.exact_grad_u))
+            == norms(data.exact_u, data.exact_grad_u))
 
 
 def test_rates_on_synthetic_sequences():
