@@ -180,8 +180,8 @@ class ErrorTable:
 
     def to_json(self, config: dict | None = None,
                 solver_reports: list[dict] | None = None) -> str:
-        def clean(rate):
-            return None if math.isnan(rate) else rate
+        def clean(value):  # strict JSON has no NaN or infinity
+            return value if math.isfinite(value) else None
 
         records = []
         for k, (level, (elem, e1, r1, e2, r2, e3, r3)) in enumerate(
@@ -189,9 +189,9 @@ class ErrorTable:
             record = {
                 "level": level,
                 "elements": elem,
-                "err_u_l2": e1,
-                "err_u_h1h": e2,
-                "err_sigma_l2": e3,
+                "err_u_l2": clean(e1),
+                "err_u_h1h": clean(e2),
+                "err_sigma_l2": clean(e3),
                 "rate_u_l2": clean(r1),
                 "rate_u_h1h": clean(r2),
                 "rate_sigma_l2": clean(r3),
@@ -202,4 +202,4 @@ class ErrorTable:
         doc: dict = {"levels": records}
         if config is not None:
             doc["config"] = config
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"

@@ -8,7 +8,8 @@ with embedded config), and optionally cross-checks the condensed path
 against the dense full-saddle-point oracle.
 
 Exit codes: 0 success, 2 invalid configuration or an output path that
-cannot be written, 3 solver failure, 4 oracle-check failure.
+cannot be written, 3 solver failure, 4 oracle-check failure; each
+failure prints one `error:` line on stderr.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .condense import (ORACLE_MAX_LEVEL, CondensedSystem, condense, recover_phi,
                        recover_sigma, solve_full_saddle)
 from .linsolve import (
     IndefiniteOperatorError,
+    SingularMatrixError,
     SolveReport,
     cg_solve,
     multigrid_preconditioner,
@@ -48,8 +50,9 @@ ORACLE_TOLERANCE = 1e-9
 MULTIGRID_MIN_LEVEL = 64
 
 #: the hierarchy halves the level while it is even and above
-#: MULTIGRID_MIN_COARSEST; its last level, which gets a dense Cholesky
-#: factorisation, must then be at most MULTIGRID_MAX_COARSEST
+#: MULTIGRID_MIN_COARSEST; its last level, whose operator is checked by a
+#: Cholesky factorisation and inverted densely, must then be at most
+#: MULTIGRID_MAX_COARSEST
 MULTIGRID_MIN_COARSEST = 8
 MULTIGRID_MAX_COARSEST = 32
 
@@ -70,6 +73,10 @@ class SolverFailure(RuntimeError):
             f"relative residual {report.relative_residual:.3e} "
             f"after {report.iterations} iterations"
         )
+
+
+class OracleFailure(RuntimeError):
+    """The full-saddle oracle cannot solve a level, or disagrees with the condensed path."""
 
 
 @dataclass(frozen=True)
@@ -348,7 +355,11 @@ def run_oracle_check(config: StudyConfig) -> OracleCheckResult:
 
     d_u, d_s, d_p = [], [], []
     for sol in walk_levels(config, data):
-        full_u, full_sigma, full_phi = solve_full_saddle(sol.blocks, config.r, config.alpha)
+        try:
+            full_u, full_sigma, full_phi = solve_full_saddle(sol.blocks, config.r, config.alpha)
+        except SingularMatrixError as exc:
+            raise OracleFailure(f"the full-saddle oracle failed at level n={sol.level}: "
+                                f"{exc}") from exc
         d_u.append(_rel_max_diff(sol.x_u, full_u))
         d_s.append(_rel_max_diff(sol.x_sigma, full_sigma))
         phi = recover_phi(sol.blocks, sol.x_u, sol.x_sigma, config.r)
@@ -387,10 +398,16 @@ _EXAMPLE_TOKENS = {
 }
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message):
+        # a bad argument is reported as every other bad input: one line, exit 2
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
     defaults = StudyConfig()
     example = next(tok for tok, ex in _EXAMPLE_TOKENS.items() if ex == defaults.example)
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="trifield",
         description="Convergence study for the stabilised three-field Poisson solver "
                     "with weak Dirichlet boundary conditions.",
@@ -442,8 +459,8 @@ def _emit(text: str, path: Path | None) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         config = config_from_args(args)
         exporting = args.export_mesh is not None or args.export_matrices is not None
         if args.oracle and (exporting or args.format != "md"):
@@ -452,19 +469,19 @@ def main(argv: list[str] | None = None) -> int:
         if args.oracle:
             check = run_oracle_check(config)
             _emit(check.render(), args.out)
-            return 0 if check.passed else 4
+            if not check.passed:
+                raise OracleFailure("the condensed and full-saddle solutions differ by more "
+                                    f"than {ORACLE_TOLERANCE:.1e}")
+            return 0
         # the exports write each level as the study walks it, so a study
         # that fails at a later level leaves the earlier levels' files
         data = _study_problem(config, None)
         result = _tabulate(config, data, _export_levels(walk_levels(config, data), args))
         fmt = "markdown" if args.format == "md" else args.format
         _emit(result.render(fmt), args.out)
-    except (ConfigError, OSError) as exc:
+    except (ConfigError, OSError, SolverFailure, OracleFailure) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except SolverFailure as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return {SolverFailure: 3, OracleFailure: 4}.get(type(exc), 2)
     return 0
 
 

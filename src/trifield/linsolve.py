@@ -13,10 +13,9 @@ by a geometric multigrid V-cycle on nested meshes, which applies each
 fine operator once per level.
 
 LAPACK (`scipy.linalg`) and MatrixMarket I/O (`scipy.io`) load on first
-use: the multigrid set-up and the dense oracle import `scipy.linalg`,
-the matrix export `scipy.io`. A Jacobi-CG study that neither checks an
-oracle nor exports never loads them; they hold about a seventh of a
-small study's peak memory.
+use: the dense oracle imports `scipy.linalg`, the matrix export
+`scipy.io`. A study of any size that does neither never loads them;
+they hold about a seventh of a small study's peak memory.
 """
 
 from __future__ import annotations
@@ -199,7 +198,7 @@ class MultigridPreconditioner:
     Calling it with a residual r returns one V-cycle's approximation of
     K^-1 r from a zero initial guess: one l1-Jacobi sweep before and one
     after the coarse-grid correction on every level but the coarsest,
-    which is solved exactly by its Cholesky factor. The pre- and
+    which is solved exactly by its stored inverse. The pre- and
     post-smoother are the same SPD matrix diag(sum_j |K_ij|), and
     diag(sum_j |K_ij|) - K is positive semidefinite by Gershgorin, so
     the cycle is an SPD preconditioner without any damping parameter.
@@ -212,16 +211,14 @@ class MultigridPreconditioner:
     prolongations: tuple        # P_l: level l+1 -> level l
     restrictions: tuple         # P_l^T in CSR form
     operator_prolongations: tuple  # K_l P_l, formed for the Galerkin product
-    coarse_factor: tuple        # scipy.linalg.cho_factor of the coarsest operator
+    coarse_inverse: np.ndarray  # dense symmetric inverse of the coarsest operator
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
         return self._cycle(0, r)
 
     def _cycle(self, level: int, r: np.ndarray) -> np.ndarray:
         if level == len(self.prolongations):
-            import scipy.linalg  # loaded by the set-up that made the factor
-
-            return scipy.linalg.cho_solve(self.coarse_factor, r)
+            return self.coarse_inverse @ r
         inv_d = self.inv_l1_diag[level]
         x = inv_d * r
         res = r - self.operators[level] @ x
@@ -243,11 +240,10 @@ def multigrid_preconditioner(
     indices. The l1 row sums are read from each operator's stored values,
     so every row must hold its diagonal, as in any SPD operator. Raises
     IndefiniteOperatorError if the coarsest Galerkin operator has no
-    Cholesky factor, i.e. K is not SPD. The first set-up loads
-    `scipy.linalg` for that factor.
+    Cholesky factor L, i.e. K is not SPD. That operator is small (at most
+    33^2 unknowns from `cli.multigrid_hierarchy`), so the V-cycle stores
+    its dense inverse, as L^-T L^-1, which is exactly symmetric.
     """
-    import scipy.linalg
-
     operators = [k]
     inv_l1_diag = []
     restrictions = []
@@ -261,18 +257,19 @@ def multigrid_preconditioner(
         restrictions.append(canonical(p.T))
         operators.append(restrictions[-1] @ products[-1])
     try:
-        factor = scipy.linalg.cho_factor(operators[-1].toarray())
+        factor = np.linalg.cholesky(operators[-1].toarray())
     except np.linalg.LinAlgError as exc:
         raise IndefiniteOperatorError(
             "coarsest multigrid operator is not positive definite"
         ) from exc
+    inverse_factor = np.linalg.inv(factor)
     return MultigridPreconditioner(
         operators=tuple(operators),
         inv_l1_diag=tuple(inv_l1_diag),
         prolongations=tuple(prolongations),
         restrictions=tuple(restrictions),
         operator_prolongations=tuple(products),
-        coarse_factor=factor,
+        coarse_inverse=inverse_factor.T @ inverse_factor,
     )
 
 

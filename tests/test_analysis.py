@@ -219,6 +219,26 @@ def test_error_table_json(table):
     assert doc["levels"][2]["solver"]["iterations"] == 5
 
 
+def _refuse(constant):
+    raise ValueError(f"non-standard JSON constant {constant}")
+
+
+def test_error_table_json_writes_non_finite_values_as_null():
+    # strict JSON has no NaN or Infinity; the text formats still print them
+    table = ErrorTable((2, 4), (8, 32), (math.nan, 1e-2), (math.inf, 0.1), (0.5, 0.2))
+    levels = json.loads(table.to_json(), parse_constant=_refuse)["levels"]
+    assert [level["err_u_l2"] for level in levels] == [None, 1e-2]
+    assert [level["err_u_h1h"] for level in levels] == [None, 0.1]
+    assert [level["rate_u_h1h"] for level in levels] == [None, None]  # log2(inf / 0.1)
+    assert table.to_csv() == ("elem,eL2,rateL2,e1h,rate1h,eSig,rateSig\n"
+                              "8,nan,,inf,,5.000000e-01,\n"
+                              "32,1.000000e-02,,1.000000e-01,inf,2.000000e-01,1.3219\n")
+    assert table.to_markdown().splitlines()[2:] == [
+        "| 8 | nan |  | inf |  | 5.0000e-01 |  |",
+        "| 32 | 1.0000e-02 |  | 1.0000e-01 | inf | 2.0000e-01 | 1.3219 |",
+    ]
+
+
 def test_single_level_table():
     table = ErrorTable((2,), (8,), (1.0,), (2.0,), (3.0,))
     assert math.isnan(table.rate_u_l2[0])

@@ -208,6 +208,31 @@ def test_main_non_finite_data_exits_2(monkeypatch, capsys):
     assert "not finite" in capsys.readouterr().err
 
 
+def test_a_nan_exact_solution_gives_a_strict_json_report(monkeypatch, capsys):
+    def refuse(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    nan_u = dataclasses.replace(
+        example1(), exact_u=lambda x, y: np.full_like(np.asarray(x, dtype=float), np.nan))
+    monkeypatch.setattr("trifield.cli.by_id", lambda example: nan_u)
+    assert main(["--levels", "2,4", "--format", "json"]) == 0
+    levels = json.loads(capsys.readouterr().out, parse_constant=refuse)["levels"]
+    assert [(level["err_u_l2"], level["err_u_h1h"]) for level in levels] == [(None, None)] * 2
+    assert all(level["err_sigma_l2"] > 0.0 for level in levels)
+    # the text formats still print the NaN
+    assert main(["--levels", "2,4", "--format", "csv"]) == 0
+    assert capsys.readouterr().out.splitlines()[2:] == [
+        "8,nan,,nan,,7.912415e-02,", "32,nan,,nan,,3.389948e-02,1.2229"]
+
+
+def test_a_failed_oracle_check_exits_4_with_one_error_line(monkeypatch, capsys):
+    monkeypatch.setattr("trifield.cli.ORACLE_TOLERANCE", 0.0)
+    assert main(["--example", "1", "--levels", "2,4", "--oracle"]) == 4
+    out, err = capsys.readouterr()
+    assert "oracle check: FAIL" in out
+    assert err == "error: the condensed and full-saddle solutions differ by more than 0.0e+00\n"
+
+
 def test_run_oracle_check_passes_small_levels():
     for example in (ExampleId.EXAMPLE1, ExampleId.EXAMPLE2):
         check = run_oracle_check(StudyConfig(example=example, levels=(2, 4)))
@@ -270,6 +295,11 @@ def test_main_invalid_config_exits_2(capsys):
         err = capsys.readouterr().err
         assert err.count("error:") == 1
         assert "not finite with alpha = 1e+308" in err
+    # a malformed argument: one line, not argparse's usage block and SystemExit
+    assert main(["--r", "abc"]) == 2
+    assert capsys.readouterr().err == "error: argument --r: invalid float value: 'abc'\n"
+    assert main(["--levels", "2", "--bogus"]) == 2
+    assert capsys.readouterr().err == "error: unrecognized arguments: --bogus\n"
 
 
 def test_main_solver_failure_exits_3(capsys):
@@ -444,6 +474,7 @@ out["preconditioner"] = study.solver_reports()[0]["preconditioner"]
 out["multigrid"] = lazy()
 out["oracle_passed"] = run_oracle_check(
     StudyConfig(example=ExampleId.EXAMPLE1, levels=(2, 4))).passed
+out["oracle"] = lazy()
 with tempfile.TemporaryDirectory() as tmp:
     path = write_matrix_market(scipy.sparse.eye_array(3, format="csr"), Path(tmp) / "I.mtx")
     out["header"] = path.read_text().splitlines()[0]
@@ -462,11 +493,12 @@ def test_lapack_and_matrix_market_load_only_when_a_run_calls_them():
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout)
-    # Jacobi-CG levels without an oracle or an export
+    # Jacobi-CG and multigrid levels without an oracle or an export
     assert out["small_study"] == []
     assert out["preconditioner"] == "multigrid"
-    assert "scipy.linalg" in out["multigrid"]
-    assert not any(m.startswith("scipy.io") for m in out["multigrid"])
+    assert out["multigrid"] == []
     assert out["oracle_passed"]
+    assert "scipy.linalg" in out["oracle"]
+    assert not any(m.startswith("scipy.io") for m in out["oracle"])
     assert out["header"].startswith("%%MatrixMarket matrix coordinate real general")
     assert "scipy.io" in out["export"]

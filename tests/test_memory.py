@@ -20,8 +20,8 @@ dense copies of every block and an |a| temporary for the pivot check.
 
 Each test runs alone as in the full suite: a fixture first runs the
 traced paths at a tiny level, so that neither the quadrature rules nor
-`scipy.linalg`, which the multigrid set-up and the oracle load on first
-use, are counted in a peak.
+`scipy.linalg`, which the oracle loads on first use, are counted in a
+peak.
 """
 
 import pickle
