@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 import time
-import warnings
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from pathlib import Path
@@ -32,7 +31,7 @@ import scipy.sparse
 
 
 class SingularMatrixError(RuntimeError):
-    """Raised when a direct factorisation meets a negligible pivot."""
+    """Raised when a direct factorisation meets an exactly zero pivot."""
 
 
 def canonical(mat) -> scipy.sparse.csr_array:
@@ -278,26 +277,25 @@ def dense_lu_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     A Fortran-ordered float64 `a` is consumed: LU overwrites it in place,
     so it holds the factor afterwards. Any other `a` is copied into
-    Fortran order and left as it was. The first call loads `scipy.linalg`.
+    Fortran order and left as it was. Raises ValueError, before LAPACK
+    runs, unless `a` is square and non-empty, `b` has one row per row of
+    `a` and both are finite. Singularity is LAPACK's verdict alone: an
+    exactly zero pivot raises SingularMatrixError, and a nonsingular `a`
+    is solved however badly scaled. The first call loads `scipy.linalg`.
     """
-    import scipy.linalg
+    from scipy.linalg.lapack import dgetrf, dgetrs
 
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     n = a.shape[0]
-    if a.shape != (n, n) or b.shape[0] != n:
+    if a.shape != (n, n) or n == 0 or b.shape[0] != n:
         raise ValueError(f"shape mismatch: {a.shape} with rhs {b.shape}")
-    # max |a_ij| without a full-size |a| temporary, read before the
-    # factor overwrites a
-    largest_entry = max(a.max(), -a.min())
-    with warnings.catch_warnings():
-        # the pivot check below turns exact singularity into an exception
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(a, overwrite_a=True)
-    pivots = np.abs(np.diag(lu))
-    if largest_entry == 0.0 or np.any(pivots < 1e-14 * largest_entry):
-        raise SingularMatrixError("matrix is singular to working precision")
-    return scipy.linalg.lu_solve((lu, piv), b)
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("matrix or right-hand side has non-finite entries")
+    lu, piv, info = dgetrf(a, overwrite_a=True)
+    if info > 0:
+        raise SingularMatrixError(f"matrix is singular: pivot {info} of {n} is exactly zero")
+    return dgetrs(lu, piv, b)[0]
 
 
 def write_matrix_market(a: scipy.sparse.csr_array, path: str | Path) -> Path:

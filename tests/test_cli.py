@@ -12,6 +12,7 @@ import scipy.io
 
 import trifield.cli
 from trifield.cli import (
+    ORACLE_TOLERANCE,
     ConfigError,
     OracleCheckResult,
     StudyConfig,
@@ -238,6 +239,27 @@ def test_run_oracle_check_passes_small_levels():
         check = run_oracle_check(StudyConfig(example=example, levels=(2, 4)))
         assert check.passed
         assert max(check.discrepancy_u) <= 1e-10
+
+
+def test_the_oracle_of_example_1_passes_at_large_penalties():
+    # alpha C sets the saddle matrix's largest entry, yet the matrix is
+    # far from singular: LU solves it as accurately as at alpha = 10
+    for alpha in (1e12, 1e300):
+        check = run_oracle_check(
+            StudyConfig(example=ExampleId.EXAMPLE1, levels=(4, 8, 16), alpha=alpha))
+        assert check.passed, (alpha, check)
+
+
+def test_example_2_at_a_large_penalty_fails_the_oracle_by_a_discrepancy(capsys):
+    # the full-saddle LU solves the system; the condensed CG, whose
+    # relative residual is taken on an F that alpha f1 dominates, does not
+    # match it to the tolerance
+    argv = ["--example", "2", "--alpha", "1e12", "--levels", "4,8,16", "--oracle"]
+    assert main(argv) == 4
+    out, err = capsys.readouterr()
+    assert "| 16 |" in out and "oracle check: FAIL" in out
+    assert err == ("error: the condensed and full-saddle solutions differ by more "
+                   f"than {ORACLE_TOLERANCE:.1e}\n")
 
 
 def test_results_store_only_their_inputs():

@@ -324,14 +324,42 @@ def test_dense_lu_hilbert_against_rational_oracle():
 
 def test_dense_lu_rejects_singular():
     singular = np.array([[1.0, 2.0], [2.0, 4.0]])
-    # the scale is the largest magnitude, for the last two that of a
-    # negative entry; a Fortran-ordered copy is factorised in place
+    # a Fortran-ordered copy is factorised in place
     for mat in (singular, -np.ones((2, 2)), -singular):
         for a in (mat, np.asfortranarray(mat)):
             with pytest.raises(SingularMatrixError):
                 dense_lu_solve(a, np.ones(2))
-    with pytest.raises(ValueError):
-        dense_lu_solve(np.ones((2, 3)), np.ones(2))
+    for a, b in ((np.ones((2, 3)), np.ones(2)), (np.zeros((0, 0)), np.zeros(0))):
+        with pytest.raises(ValueError):
+            dense_lu_solve(a, b)
+
+
+def test_dense_lu_solves_a_badly_scaled_nonsingular_system():
+    # pivots far below the largest entry are not singular: only an
+    # exactly zero one is
+    for mat, x in ((np.diag([1e20, 1.0]), [1.0, 3.0]),
+                   (np.array([[0.0, 1.0], [1e300, 1e300]]), [-2.0, 0.5]),
+                   (np.diag([1.0, 1e-300]), [4.0, -1.0])):
+        for a in (mat, np.asfortranarray(mat)):
+            got = dense_lu_solve(a, mat @ x)
+            assert got.tolist() == x
+
+
+def test_dense_lu_refuses_non_finite_entries_before_factorising():
+    a = np.asfortranarray([[2.0, 1.0], [1.0, 3.0]])
+    for bad in (np.nan, np.inf, -np.inf):
+        for row, col in ((0, 0), (1, 1)):
+            mat = a.copy(order="F")
+            mat[row, col] = bad
+            kept = mat.copy(order="F")
+            with pytest.raises(ValueError):
+                dense_lu_solve(mat, np.ones(2))
+            # a Fortran matrix that LAPACK saw would hold its factor
+            np.testing.assert_array_equal(mat, kept)
+        mat = a.copy(order="F")
+        with pytest.raises(ValueError):
+            dense_lu_solve(mat, np.array([1.0, bad]))
+        np.testing.assert_array_equal(mat, a)
 
 
 def wilkinson_growth_matrix(n):
@@ -342,9 +370,8 @@ def wilkinson_growth_matrix(n):
     return a
 
 
-def test_dense_lu_reads_the_pivot_scale_before_factorising_in_place():
-    # after an in-place factor the matrix holds U, whose largest entry
-    # 2^59 would make the unit pivots look singular
+def test_dense_lu_factorises_a_fortran_matrix_in_place():
+    # the in-place factor holds U, whose last column grows to 2^59
     a = wilkinson_growth_matrix(60)
     b = a @ np.ones(60)
     want = dense_lu_solve(a, b)
