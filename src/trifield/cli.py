@@ -5,7 +5,7 @@ a list of doubling refinement levels, coarsest first, each multigrid
 CG started from the coarser level's solution and each level dropped
 once its errors are taken. Emits the rate table (CSV, Markdown or JSON
 with embedded config), and optionally cross-checks the condensed path
-against the dense full-saddle-point oracle.
+against the direct full-saddle-point oracle.
 
 Exit codes: 0 success, 2 invalid configuration or an output path that
 cannot be written, 3 solver failure, 4 oracle-check failure; each
@@ -344,7 +344,7 @@ def _rel_max_diff(got: np.ndarray, want: np.ndarray) -> float:
 
 
 def run_oracle_check(config: StudyConfig) -> OracleCheckResult:
-    """Compare the condensed pipeline against the dense full-saddle solve
+    """Compare the condensed pipeline against the direct full-saddle solve
     of a built-in example."""
     data = _study_problem(config, None)
     if max(config.levels) > ORACLE_MAX_LEVEL:

@@ -13,7 +13,7 @@ by a geometric multigrid V-cycle on nested meshes, which applies each
 fine operator once per level.
 
 LAPACK (`scipy.linalg`) and MatrixMarket I/O (`scipy.io`) load on first
-use: the dense oracle imports `scipy.linalg`, the matrix export
+use: the oracle's banded LU imports `scipy.linalg`, the matrix export
 `scipy.io`. A study of any size that does neither never loads them;
 they hold about a seventh of a small study's peak memory.
 """
@@ -272,30 +272,46 @@ def multigrid_preconditioner(
     )
 
 
-def dense_lu_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Direct solve of a dense square system by LU with partial pivoting.
+def dense_lu_solve(a: np.ndarray | scipy.sparse.sparray, b: np.ndarray) -> np.ndarray:
+    """Direct solve of a square system by banded LU with partial pivoting.
 
-    A Fortran-ordered float64 `a` is consumed: LU overwrites it in place,
-    so it holds the factor afterwards. Any other `a` is copied into
-    Fortran order and left as it was. Raises ValueError, before LAPACK
-    runs, unless `a` is square and non-empty, `b` has one row per row of
-    `a` and both are finite. Singularity is LAPACK's verdict alone: an
-    exactly zero pivot raises SingularMatrixError, and a nonsingular `a`
-    is solved however badly scaled. The first call loads `scipy.linalg`.
+    `a` is a dense array or a `scipy.sparse` matrix; neither it nor `b`
+    is changed. The bandwidths kl and ku are read from the nonzeros of
+    `a`, after duplicates are summed and stored zeros dropped, and LAPACK
+    factorises the band alone (`dgbtrf`, `dgbtrs`): its storage is
+    (2 kl + ku + 1) x n, so a dense copy of a banded `a` is never made,
+    and a sparse `a` and its dense copy give bitwise the same x. Raises
+    ValueError, before LAPACK runs, unless `a` is square and non-empty,
+    `b` has one row per row of `a` and both are finite. Singularity is
+    LAPACK's verdict alone: an exactly zero pivot raises
+    SingularMatrixError, and a nonsingular `a` is solved however badly
+    scaled. The name predates the band storage and is kept while
+    `perfbench/tracer.py` wraps this function by it. The first call
+    loads `scipy.linalg`.
     """
-    from scipy.linalg.lapack import dgetrf, dgetrs
+    from scipy.linalg.lapack import dgbtrf, dgbtrs
 
-    a = np.asarray(a, dtype=float)
+    if not scipy.sparse.issparse(a):
+        a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     n = a.shape[0]
     if a.shape != (n, n) or n == 0 or b.shape[0] != n:
         raise ValueError(f"shape mismatch: {a.shape} with rhs {b.shape}")
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+    a = canonical(a)
+    if not (np.isfinite(a.data).all() and np.isfinite(b).all()):
         raise ValueError("matrix or right-hand side has non-finite entries")
-    lu, piv, info = dgetrf(a, overwrite_a=True)
+    rows = np.repeat(np.arange(n), np.diff(a.indptr))
+    offset = rows - a.indices  # below the diagonal > 0, above it < 0
+    kl = int(offset.max(initial=0))
+    ku = int(-offset.min(initial=0))
+    # LAPACK's band layout: a[i, j] sits at row kl + ku + i - j of column
+    # j; the kl rows above it hold the fill that row interchanges make
+    band = np.zeros((2 * kl + ku + 1, n), order="F")
+    band[kl + ku + offset, a.indices] = a.data
+    lu, piv, info = dgbtrf(band, kl, ku, overwrite_ab=True)
     if info > 0:
         raise SingularMatrixError(f"matrix is singular: pivot {info} of {n} is exactly zero")
-    return dgetrs(lu, piv, b)[0]
+    return dgbtrs(lu, kl, ku, b, piv)[0]
 
 
 def write_matrix_market(a: scipy.sparse.csr_array, path: str | Path) -> Path:

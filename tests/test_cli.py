@@ -22,6 +22,7 @@ from trifield.cli import (
     solve_level,
     walk_levels,
 )
+from trifield.condense import ORACLE_MAX_LEVEL
 from trifield.linsolve import SolveReport, canonical
 from trifield.problems import ExampleId, example1, linear_patch
 
@@ -97,9 +98,10 @@ def test_oracle_check_rejects_large_levels_before_solving(monkeypatch):
 
     monkeypatch.setattr("trifield.cli.solve_level", fail)
     with pytest.raises(ConfigError):
-        run_oracle_check(StudyConfig(levels=(2, 32)))  # not doubling either
-    with pytest.raises(ConfigError, match="oracle is restricted to levels <= 16"):
-        run_oracle_check(StudyConfig(levels=(16, 32)))
+        run_oracle_check(StudyConfig(levels=(2, 2 * ORACLE_MAX_LEVEL)))  # not doubling either
+    with pytest.raises(ConfigError,
+                       match=f"oracle is restricted to levels <= {ORACLE_MAX_LEVEL}"):
+        run_oracle_check(StudyConfig(levels=(ORACLE_MAX_LEVEL, 2 * ORACLE_MAX_LEVEL)))
 
 
 def test_run_study_patch_levels_are_exact():
@@ -300,10 +302,10 @@ def test_main_invalid_config_exits_2(capsys):
     assert main(["--r", "1.5"]) == 2
     assert main(["--levels", "4,2"]) == 2
     assert main(["--levels", "abc"]) == 2
-    assert main(["--oracle", "--levels", "2,32"]) == 2
+    assert main(["--oracle", "--levels", f"2,{2 * ORACLE_MAX_LEVEL}"]) == 2
     err = capsys.readouterr().err
     assert "error:" in err
-    assert main(["--oracle", "--levels", "16,32"]) == 2
+    assert main(["--oracle", "--levels", f"{ORACLE_MAX_LEVEL},{2 * ORACLE_MAX_LEVEL}"]) == 2
     assert "oracle is restricted" in capsys.readouterr().err
     for alpha in ("inf", "nan"):
         assert main(["--example", "1", "--levels", "2,4", "--alpha", alpha]) == 2

@@ -1,3 +1,4 @@
+import pickle
 import re
 from fractions import Fraction
 
@@ -324,7 +325,6 @@ def test_dense_lu_hilbert_against_rational_oracle():
 
 def test_dense_lu_rejects_singular():
     singular = np.array([[1.0, 2.0], [2.0, 4.0]])
-    # a Fortran-ordered copy is factorised in place
     for mat in (singular, -np.ones((2, 2)), -singular):
         for a in (mat, np.asfortranarray(mat)):
             with pytest.raises(SingularMatrixError):
@@ -354,7 +354,7 @@ def test_dense_lu_refuses_non_finite_entries_before_factorising():
             kept = mat.copy(order="F")
             with pytest.raises(ValueError):
                 dense_lu_solve(mat, np.ones(2))
-            # a Fortran matrix that LAPACK saw would hold its factor
+            # refused before LAPACK runs, and left as it was
             np.testing.assert_array_equal(mat, kept)
         mat = a.copy(order="F")
         with pytest.raises(ValueError):
@@ -370,16 +370,39 @@ def wilkinson_growth_matrix(n):
     return a
 
 
-def test_dense_lu_factorises_a_fortran_matrix_in_place():
-    # the in-place factor holds U, whose last column grows to 2^59
+def test_dense_lu_leaves_c_and_fortran_matrices_unchanged():
+    # the factor, whose last column grows to 2^59, lives in band storage
     a = wilkinson_growth_matrix(60)
     b = a @ np.ones(60)
     want = dense_lu_solve(a, b)
     fortran = np.asfortranarray(a)
     got = dense_lu_solve(fortran, b)
     assert got.tobytes() == want.tobytes()
-    assert np.abs(fortran).max() == 2.0**59  # consumed: it holds the factor
-    assert np.array_equal(a, wilkinson_growth_matrix(60))  # a C-ordered a is kept
+    for mat in (a, fortran):
+        assert np.array_equal(mat, wilkinson_growth_matrix(60))
+
+
+def test_dense_lu_of_a_sparse_matrix_is_bitwise_its_dense_copy():
+    rng = np.random.default_rng(5)
+    n = 40
+    dense = sum(np.diag(rng.standard_normal(n - abs(k)), k) for k in range(-3, 3))
+    rows, cols = np.nonzero(dense)
+    # every entry stored as two halves, and a stored zero outside the band
+    coo = scipy.sparse.coo_array(
+        (np.concatenate([dense[rows, cols] / 2, dense[rows, cols] / 2, [0.0]]),
+         (np.concatenate([rows, rows, [n - 1]]), np.concatenate([cols, cols, [0]]))),
+        shape=(n, n),
+    )
+    b = rng.standard_normal(n)
+    inputs = pickle.dumps((dense, b))
+    want = dense_lu_solve(dense, b)
+    assert pickle.dumps((dense, b)) == inputs
+    np.testing.assert_allclose(dense @ want, b, rtol=0, atol=1e-12 * np.abs(b).max())
+    for fmt in ("coo", "csr", "csc"):
+        sparse = coo.asformat(fmt)
+        kept = pickle.dumps(sparse)
+        assert dense_lu_solve(sparse, b).tobytes() == want.tobytes()
+        assert pickle.dumps(sparse) == kept
 
 
 def test_matrix_market_round_trip(tmp_path):
