@@ -345,7 +345,13 @@ def _rel_max_diff(got: np.ndarray, want: np.ndarray) -> float:
 
 def run_oracle_check(config: StudyConfig) -> OracleCheckResult:
     """Compare the condensed pipeline against the direct full-saddle solve
-    of a built-in example."""
+    of a built-in example.
+
+    CG solves each level to min(config.cg_tol, 1e-13), so that CG's own
+    error stays far below ORACLE_TOLERANCE and a discrepancy points at
+    the algebra: on example 2 at levels 16, 32, 64 the worst discrepancy
+    is 5.7e-12 with CG at 1e-13, against 3.9e-11 at 1e-12.
+    """
     data = _study_problem(config, None)
     if max(config.levels) > ORACLE_MAX_LEVEL:
         raise ConfigError(
@@ -427,7 +433,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", type=Path, default=None,
                         help="write the report here instead of stdout")
     parser.add_argument("--oracle", action="store_true",
-                        help="cross-check condensed vs full saddle solve "
+                        help="cross-check condensed vs full saddle solve, with CG "
+                             "at min(--cg-tol, 1e-13) "
                              f"(levels must all be <= {ORACLE_MAX_LEVEL})")
     parser.add_argument("--export-matrices", type=Path, default=None, metavar="DIR",
                         help="write assembled matrices in MatrixMarket format")
@@ -437,8 +444,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args: argparse.Namespace) -> StudyConfig:
+    # int() refuses an empty or blank token, so "2,,4" does not run as "2,4"
     try:
-        levels = tuple(int(tok) for tok in args.levels.split(",") if tok.strip())
+        levels = tuple(int(tok) for tok in args.levels.split(","))
     except ValueError as exc:
         raise ConfigError(f"cannot parse levels {args.levels!r}") from exc
     return StudyConfig(

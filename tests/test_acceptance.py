@@ -1,4 +1,4 @@
-"""Acceptance gate: one test per criterion, each printing a PASS/FAIL line.
+"""Acceptance gate: each test checks one criterion and prints a PASS/FAIL line.
 
 Run with `pytest -s tests/test_acceptance.py` to see the per-criterion
 lines as they complete.
@@ -72,6 +72,21 @@ def test_criterion_2_rates_example_2(study_ex2):
     )
 
 
+def test_criterion_2_rates_example_2_to_n_256_on_the_multigrid_path():
+    # the paper's windows at the finest pair, with n = 64, 128 and 256
+    # solved by multigrid-preconditioned CG
+    result = run_study(StudyConfig(example=ExampleId.EXAMPLE2, levels=(16, 32, 64, 128, 256)))
+    reports = [rec.report for rec in result.solutions]
+    assert all(rep.converged for rep in reports), reports
+    assert [rep.preconditioner for rep in reports[2:]] == ["multigrid"] * 3, reports
+    r_l2, r_h1h, r_sig = finest_rates(result)
+    ok = 1.92 <= r_l2 <= 2.22 and 0.91 <= r_h1h <= 1.11 and 1.35 <= r_sig <= 1.75
+    assert report(
+        2, ok,
+        f"example 2 rates at n=256: L2(u)={r_l2:.4f}, 1h(u)={r_h1h:.4f}, L2(sigma)={r_sig:.4f}",
+    )
+
+
 def test_criterion_3_absolute_magnitudes_documented():
     # absolute table errors depend on unreported penalty/stabilisation
     # weights, so the README must say they are not reproduction targets
@@ -94,6 +109,18 @@ def test_criterion_4_oracle_equivalence():
         worst = max(worst, level_worst)
         ok = ok and check.passed and level_worst <= 1e-9
     assert report(4, ok, f"condensed vs full saddle, worst relative diff {worst:.3e}")
+
+
+def test_criterion_4_oracle_equivalence_at_a_multigrid_level():
+    # n = 64 is the first level that a study solves with multigrid
+    worst, ok = {}, True
+    for example in (ExampleId.EXAMPLE1, ExampleId.EXAMPLE2):
+        check = run_oracle_check(StudyConfig(example=example, levels=(16, 32, 64)))
+        worst[example.value] = max(
+            *check.discrepancy_u, *check.discrepancy_sigma, *check.discrepancy_phi)
+        ok = ok and check.passed
+    assert report(4, ok, "condensed vs full saddle at n=16,32,64, worst relative diff "
+                  + ", ".join(f"{name} {w:.3e}" for name, w in worst.items()))
 
 
 def test_criterion_5_patch_test():

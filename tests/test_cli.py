@@ -23,7 +23,7 @@ from trifield.cli import (
     walk_levels,
 )
 from trifield.condense import ORACLE_MAX_LEVEL
-from trifield.linsolve import SolveReport, canonical
+from trifield.linsolve import SolveReport, canonical, cg_solve
 from trifield.problems import ExampleId, example1, linear_patch
 
 PATCH_ARGS = ["--example", "patch", "--levels", "2,4"]
@@ -126,22 +126,24 @@ def test_run_study_reports_are_complete():
         assert "wall" not in json.dumps(record["solver"])  # deterministic payload
 
     # level 64 runs the multigrid path; wall times are reported in process only
-    config = StudyConfig(example=ExampleId.EXAMPLE1, levels=(32, 64))
-    result = run_study(config)
-    reports = result.solver_reports()
-    solver = [record["solver"] for record in json.loads(result.render("json"))["levels"]]
-    assert solver == [{k: v for k, v in r.items() if k != "wall_time"} for r in reports]
-    assert [s["level"] for s in solver] == [32, 64]
-    assert [s["preconditioner"] for s in solver] == ["jacobi", "multigrid"]
-    assert [s["mg_levels"] for s in solver] == [0, 4]
-    for record, sol in zip(reports, result.solutions):
-        assert record["wall_time"] == sol.report.wall_time > 0.0
-        assert record["iterations"] == sol.report.iterations > 0
-        assert record["converged"] is True
-        assert record["relative_residual"] <= config.cg_tol
-    # level 32 starts from zero, level 64 from the prolongated level-32 solution
-    assert reports[0]["initial_residual"] == 1.0
-    assert 0.0 < reports[1]["initial_residual"] < 1.0
+    for example in (ExampleId.EXAMPLE1, ExampleId.EXAMPLE2):
+        config = StudyConfig(example=example, levels=(32, 64))
+        result = run_study(config)
+        reports = result.solver_reports()
+        solver = [record["solver"] for record in json.loads(result.render("json"))["levels"]]
+        assert solver == [{k: v for k, v in r.items() if k != "wall_time"} for r in reports]
+        assert [s["level"] for s in solver] == [32, 64]
+        assert [s["preconditioner"] for s in solver] == ["jacobi", "multigrid"]
+        assert [s["mg_levels"] for s in solver] == [0, 4]
+        assert [s["indefinite"] for s in solver] == [False, False]
+        for record, sol in zip(reports, result.solutions):
+            assert record["wall_time"] == sol.report.wall_time > 0.0
+            assert record["iterations"] == sol.report.iterations > 0
+            assert record["converged"] is True
+            assert record["relative_residual"] <= config.cg_tol
+        # level 32 starts from zero, level 64 from the prolongated level-32 solution
+        assert reports[0]["initial_residual"] == 1.0
+        assert 0.0 < reports[1]["initial_residual"] < 1.0
 
 
 def test_run_study_accepts_custom_problem():
@@ -243,6 +245,21 @@ def test_run_oracle_check_passes_small_levels():
         assert max(check.discrepancy_u) <= 1e-10
 
 
+def test_the_oracle_solves_cg_at_1e_13_or_tighter(monkeypatch):
+    tols = []
+
+    def recording_cg_solve(*args, tol, **kwargs):
+        tols.append(tol)
+        return cg_solve(*args, tol=tol, **kwargs)
+
+    monkeypatch.setattr("trifield.cli.cg_solve", recording_cg_solve)
+    for cg_tol, want in ((1e-8, 1e-13), (1e-14, 1e-14)):
+        tols.clear()
+        config = StudyConfig(example=ExampleId.EXAMPLE1, levels=(2, 4), cg_tol=cg_tol)
+        assert run_oracle_check(config).passed
+        assert tols == [want, want], cg_tol
+
+
 def test_the_oracle_of_example_1_passes_at_large_penalties():
     # alpha C sets the saddle matrix's largest entry, yet the matrix is
     # far from singular: LU solves it as accurately as at alpha = 10
@@ -307,6 +324,13 @@ def test_main_invalid_config_exits_2(capsys):
     assert "error:" in err
     assert main(["--oracle", "--levels", f"{ORACLE_MAX_LEVEL},{2 * ORACLE_MAX_LEVEL}"]) == 2
     assert "oracle is restricted" in capsys.readouterr().err
+    # an empty token is refused, not skipped: "2,,4" would otherwise run as "2,4"
+    for levels in ("2,,4", "2,"):
+        assert main(["--example", "patch", "--levels", levels]) == 2
+        assert capsys.readouterr().err == f"error: cannot parse levels {levels!r}\n"
+    # below machine epsilon, as `validate` refuses it
+    assert main([*PATCH_ARGS, "--cg-tol", "1e-300"]) == 2
+    assert "cg tolerance must be in [eps, 1), got 1e-300" in capsys.readouterr().err
     for alpha in ("inf", "nan"):
         assert main(["--example", "1", "--levels", "2,4", "--alpha", alpha]) == 2
         err = capsys.readouterr().err
@@ -317,7 +341,7 @@ def test_main_invalid_config_exits_2(capsys):
     for extra in (["--levels", "2,4"], ["--levels", "2,4", "--oracle"], ["--levels", "64"]):
         assert main(["--example", "2", "--alpha", "1e308", *extra]) == 2
         err = capsys.readouterr().err
-        assert err.count("error:") == 1
+        assert err.count("\n") == 1 and err.startswith("error: ")
         assert "not finite with alpha = 1e+308" in err
     # a malformed argument: one line, not argparse's usage block and SystemExit
     assert main(["--r", "abc"]) == 2
@@ -331,6 +355,10 @@ def test_main_solver_failure_exits_3(capsys):
     assert code == 3
     err = capsys.readouterr().err
     assert "CG failed" in err and "non-convergence" in err
+    # negative curvature inside CG on the multigrid path
+    assert main(["--example", "1", "--levels", "64", "--alpha", "0.5"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: CG failed at level n=64: indefinite operator")
 
 
 def test_a_stagnating_cg_stops_long_before_its_cap():
