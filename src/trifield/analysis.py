@@ -10,12 +10,10 @@ errors under uniform mesh halving.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from dataclasses import dataclass, fields
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -95,29 +93,56 @@ def l2_error_sigma(mesh: Mesh, x_sigma: np.ndarray, exact_grad_u: Callable) -> f
     return math.sqrt(_integrate(mesh.areas, per))
 
 
-def convergence_rates(errors: Sequence[float]) -> np.ndarray:
-    """Rates log2(e_coarse / e_fine) for successive levels under h-halving.
+def convergence_rates(errors: Sequence[float]) -> tuple[float, ...]:
+    """Rates log2(e_coarse / e_fine) under h-halving, aligned with the levels.
 
-    Degenerate (zero or negative) errors yield NaN markers.
+    The coarsest level has no rate, and a pair with a zero or negative
+    error has none either: both are NaN.
     """
     errors = np.asarray(errors, dtype=float)
-    if errors.size < 2:
-        raise ValueError("need at least two levels to compute rates")
-    rates = np.full(errors.size - 1, np.nan)
+    rates = np.full(errors.size, np.nan)
     valid = (errors[:-1] > 0.0) & (errors[1:] > 0.0)
-    rates[valid] = np.log2(errors[:-1][valid] / errors[1:][valid])
-    return rates
+    rates[1:][valid] = np.log2(errors[:-1][valid] / errors[1:][valid])
+    return tuple(rates.tolist())
 
 
-_CSV_HEADER = ["elem", "eL2", "rateL2", "e1h", "rate1h", "eSig", "rateSig"]
+@dataclass(frozen=True)
+class Column:
+    """A report column: its ErrorTable attribute, which is also its JSON
+    key, its CSV and Markdown headers, and the format spec of a number in
+    each. A NaN rate is blank: the level has no rate."""
+
+    key: str
+    csv: str
+    md: str
+    csv_spec: str = ""
+    md_spec: str = ""
+
+    def text(self, value, spec: str) -> str:
+        return "" if self.key.startswith("rate_") and math.isnan(value) else format(value, spec)
 
 
-def _rates_column(errors: tuple[float, ...]) -> tuple[float, ...]:
-    """Rates aligned with the levels: NaN at the coarsest, and everywhere
-    when there is a single level."""
-    if len(errors) < 2:
-        return (math.nan,) * len(errors)
-    return (math.nan, *convergence_rates(errors))
+def _error_column(key: str, csv: str, md: str) -> tuple[Column, Column]:
+    """An error column and the rate column that follows it."""
+    rate = Column("rate_" + key.removeprefix("err_"), "rate" + csv[1:], "rate", ".4f", ".4f")
+    return Column(key, csv, md, ".6e", ".4e"), rate
+
+
+#: the report's columns, in order. A new error column is one entry here,
+#: plus its ErrorTable field and rate property.
+COLUMNS = (
+    Column("elements", "elem", "elem"),
+    *_error_column("err_u_l2", "eL2", "err u L2"),
+    *_error_column("err_u_h1h", "e1h", "err u 1,h"),
+    *_error_column("err_sigma_l2", "eSig", "err sigma L2"),
+)
+
+
+def markdown_table(header: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
+    """A Markdown table whose columns are all right-aligned."""
+    lines = ["| " + " | ".join(cells) + " |" for cells in (header, *rows)]
+    lines.insert(1, "|" + "|".join("-" * (len(h) + 1) + ":" for h in header) + "|")
+    return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)
@@ -131,71 +156,41 @@ class ErrorTable:
     err_sigma_l2: tuple[float, ...]
 
     # derived from the errors, read-only
-    rate_u_l2 = property(lambda self: _rates_column(self.err_u_l2))
-    rate_u_h1h = property(lambda self: _rates_column(self.err_u_h1h))
-    rate_sigma_l2 = property(lambda self: _rates_column(self.err_sigma_l2))
+    rate_u_l2 = property(lambda self: convergence_rates(self.err_u_l2))
+    rate_u_h1h = property(lambda self: convergence_rates(self.err_u_h1h))
+    rate_sigma_l2 = property(lambda self: convergence_rates(self.err_sigma_l2))
 
     def __post_init__(self):
-        for name in ("elements", "err_u_l2", "err_u_h1h", "err_sigma_l2"):
-            if (size := len(getattr(self, name))) != len(self.levels):
-                raise ValueError(f"column {name} has {size} entries for "
+        for field in fields(self)[1:]:
+            if (size := len(getattr(self, field.name))) != len(self.levels):
+                raise ValueError(f"column {field.name} has {size} entries for "
                                  f"{len(self.levels)} levels")
 
     def rows(self):
-        """(elements, err, rate, err, rate, err, rate) per level, coarsest first."""
-        return zip(self.elements, self.err_u_l2, self.rate_u_l2, self.err_u_h1h,
-                   self.rate_u_h1h, self.err_sigma_l2, self.rate_sigma_l2, strict=True)
+        """Each level's values in the order of COLUMNS, coarsest first."""
+        return zip(*(getattr(self, c.key) for c in COLUMNS), strict=True)
 
     def to_csv(self, config: dict | None = None) -> str:
-        out = io.StringIO()
-        if config is not None:
-            out.write("# config: " + json.dumps(config, sort_keys=True) + "\n")
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(_CSV_HEADER)
-        for elem, e1, r1, e2, r2, e3, r3 in self.rows():
-            writer.writerow([
-                elem,
-                f"{e1:.6e}", "" if math.isnan(r1) else f"{r1:.4f}",
-                f"{e2:.6e}", "" if math.isnan(r2) else f"{r2:.4f}",
-                f"{e3:.6e}", "" if math.isnan(r3) else f"{r3:.4f}",
-            ])
-        return out.getvalue()
+        lines = [] if config is None else ["# config: " + json.dumps(config, sort_keys=True)]
+        lines.append(",".join(c.csv for c in COLUMNS))
+        lines += (",".join(c.text(v, c.csv_spec) for c, v in zip(COLUMNS, row))
+                  for row in self.rows())
+        return "\n".join(lines) + "\n"
 
     def to_markdown(self, config: dict | None = None) -> str:
-        lines = []
+        rows = ([c.text(v, c.md_spec) for c, v in zip(COLUMNS, row)] for row in self.rows())
+        table = markdown_table([c.md for c in COLUMNS], rows)
         if config is not None:
-            lines.append("config: " + json.dumps(config, sort_keys=True))
-            lines.append("")
-        lines.append("| elem | err u L2 | rate | err u 1,h | rate | err sigma L2 | rate |")
-        lines.append("|-----:|---------:|-----:|----------:|-----:|-------------:|-----:|")
-        for elem, e1, r1, e2, r2, e3, r3 in self.rows():
-            def fmt(rate):
-                return "" if math.isnan(rate) else f"{rate:.4f}"
-
-            lines.append(
-                f"| {elem} | {e1:.4e} | {fmt(r1)} | {e2:.4e} | {fmt(r2)} | "
-                f"{e3:.4e} | {fmt(r3)} |"
-            )
-        return "\n".join(lines) + "\n"
+            table = f"config: {json.dumps(config, sort_keys=True)}\n\n{table}"
+        return table
 
     def to_json(self, config: dict | None = None,
                 solver_reports: list[dict] | None = None) -> str:
-        def clean(value):  # strict JSON has no NaN or infinity
-            return value if math.isfinite(value) else None
-
         records = []
-        for k, (level, (elem, e1, r1, e2, r2, e3, r3)) in enumerate(
-                zip(self.levels, self.rows(), strict=True)):
-            record = {
-                "level": level,
-                "elements": elem,
-                "err_u_l2": clean(e1),
-                "err_u_h1h": clean(e2),
-                "err_sigma_l2": clean(e3),
-                "rate_u_l2": clean(r1),
-                "rate_u_h1h": clean(r2),
-                "rate_sigma_l2": clean(r3),
-            }
+        for k, (level, row) in enumerate(zip(self.levels, self.rows(), strict=True)):
+            # strict JSON has no NaN or infinity
+            record = {"level": level} | {c.key: v if math.isfinite(v) else None
+                                         for c, v in zip(COLUMNS, row)}
             if solver_reports is not None:
                 record["solver"] = solver_reports[k]
             records.append(record)

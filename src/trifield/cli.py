@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import ErrorTable, h1h_error_u, l2_error_sigma, l2_error_u
+from .analysis import ErrorTable, h1h_error_u, l2_error_sigma, l2_error_u, markdown_table
 from .assembly import BlockSystem, assemble
 from .condense import (ORACLE_MAX_LEVEL, CondensedSystem, condense, recover_phi,
                        recover_sigma, solve_full_saddle)
@@ -39,6 +39,9 @@ from .mesh import Mesh, build_structured_unit_square, prolongation, write_mesh_f
 from .problems import ExampleId, ProblemData, by_id
 
 DEFAULT_LEVELS = (2, 4, 8, 16, 32, 64)
+
+#: the names of the report formats, for `StudyResult.render` and --format
+REPORT_FORMATS = ("csv", "md", "json")
 
 #: comparison threshold for the condensed-vs-full cross check
 ORACLE_TOLERANCE = 1e-9
@@ -104,6 +107,9 @@ class StudyConfig:
             raise ConfigError(f"r must lie in (0, 1), got {self.r}")
         if not 0.0 < self.alpha < np.inf:
             raise ConfigError(f"alpha must be positive and finite, got {self.alpha}")
+        # a list runs but leaves the config unhashable; an array fails in numpy
+        if not isinstance(self.levels, tuple):
+            raise ConfigError(f"levels must be a tuple, got {type(self.levels).__name__}")
         if not self.levels:
             raise ConfigError("need at least one refinement level")
         for n in self.levels:
@@ -162,19 +168,19 @@ class StudyResult:
         return [{"level": rec.level} | asdict(rec.report) for rec in self.solutions]
 
     def render(self, fmt: str) -> str:
-        """The report as "markdown", "csv" or "json", with the config embedded."""
+        """The report in one of REPORT_FORMATS, with the config embedded."""
         echo = self.config.echo()
-        if fmt == "markdown":
-            return self.table.to_markdown(config=echo)
         if fmt == "csv":
             return self.table.to_csv(config=echo)
+        if fmt == "md":
+            return self.table.to_markdown(config=echo)
         if fmt == "json":
             # wall times differ from run to run; leaving them out keeps the
             # report byte-for-byte reproducible
             reports = [{k: v for k, v in record.items() if k != "wall_time"}
                        for record in self.solver_reports()]
             return self.table.to_json(config=echo, solver_reports=reports)
-        raise ValueError(f"unknown output format {fmt!r}")
+        raise ValueError(f"unknown output format {fmt!r}, expected one of {REPORT_FORMATS}")
 
 
 def solve_level(
@@ -292,9 +298,7 @@ def _tabulate(config: StudyConfig, data: ProblemData,
             l2_error_sigma(sol.mesh, sol.x_sigma, data.exact_grad_u),
         ))
         del sol  # drop the level before the walk builds the next one
-    e_l2, e_h1h, e_sig = zip(*errors)
-    table = ErrorTable(levels=config.levels, elements=tuple(elements),
-                       err_u_l2=e_l2, err_u_h1h=e_h1h, err_sigma_l2=e_sig)
+    table = ErrorTable(config.levels, tuple(elements), *zip(*errors))  # errors in field order
     return StudyResult(config=config, table=table, solutions=tuple(records))
 
 
@@ -324,16 +328,11 @@ class OracleCheckResult:
             *self.discrepancy_u, *self.discrepancy_sigma, *self.discrepancy_phi))
 
     def render(self) -> str:
-        lines = ["| n | max rel du | max rel dsigma | max rel dphi |",
-                 "|--:|-----------:|---------------:|-------------:|"]
-        for k, n in enumerate(self.levels):
-            lines.append(
-                f"| {n} | {self.discrepancy_u[k]:.3e} | "
-                f"{self.discrepancy_sigma[k]:.3e} | {self.discrepancy_phi[k]:.3e} |"
-            )
+        rows = ([str(n), *(f"{d:.3e}" for d in worst)] for n, *worst in zip(
+            self.levels, self.discrepancy_u, self.discrepancy_sigma, self.discrepancy_phi))
         verdict = "PASS" if self.passed else "FAIL"
-        lines.append(f"oracle check: {verdict} (tolerance {ORACLE_TOLERANCE:.1e})")
-        return "\n".join(lines) + "\n"
+        return (markdown_table(("n", "max rel du", "max rel dsigma", "max rel dphi"), rows)
+                + f"oracle check: {verdict} (tolerance {ORACLE_TOLERANCE:.1e})\n")
 
 
 def _rel_max_diff(got: np.ndarray, want: np.ndarray) -> float:
@@ -428,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="boundary penalty weight (default: %(default)s)")
     parser.add_argument("--cg-tol", type=float, default=defaults.cg_tol,
                         help="relative CG residual tolerance (default: %(default)s)")
-    parser.add_argument("--format", choices=("csv", "md", "json"), default="md",
+    parser.add_argument("--format", choices=REPORT_FORMATS, default="md",
                         help="output format (default: %(default)s)")
     parser.add_argument("--out", type=Path, default=None,
                         help="write the report here instead of stdout")
@@ -444,9 +443,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args: argparse.Namespace) -> StudyConfig:
-    # int() refuses an empty or blank token, so "2,,4" does not run as "2,4"
+    # ASCII digits only: int() alone would run "1_6" as 16, "٢" as 2 and "+4" as 4
+    tokens = [tok.strip() for tok in args.levels.split(",")]
     try:
-        levels = tuple(int(tok) for tok in args.levels.split(","))
+        if not all(tok.isascii() and tok.isdigit() for tok in tokens):
+            raise ValueError
+        levels = tuple(map(int, tokens))  # raises past the interpreter's digit limit
     except ValueError as exc:
         raise ConfigError(f"cannot parse levels {args.levels!r}") from exc
     return StudyConfig(
@@ -485,8 +487,7 @@ def main(argv: list[str] | None = None) -> int:
         # that fails at a later level leaves the earlier levels' files
         data = _study_problem(config, None)
         result = _tabulate(config, data, _export_levels(walk_levels(config, data), args))
-        fmt = "markdown" if args.format == "md" else args.format
-        _emit(result.render(fmt), args.out)
+        _emit(result.render(args.format), args.out)
     except (ConfigError, OSError, SolverFailure, OracleFailure) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return {SolverFailure: 3, OracleFailure: 4}.get(type(exc), 2)

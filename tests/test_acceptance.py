@@ -252,7 +252,7 @@ def test_criterion_9_property_suites():
     # rate computation on synthetic geometric sequences
     for rate in (0.5, 1.0, 1.5, 2.0):
         errors = [7.3 * 2.0 ** (-rate * k) for k in range(5)]
-        ok = ok and np.allclose(convergence_rates(errors), rate, atol=1e-12)
+        ok = ok and np.allclose(convergence_rates(errors)[1:], rate, atol=1e-12)
 
     # norm homogeneity under scaling of the error field
     from trifield.analysis import h1h_error_u, l2_error_u

@@ -13,9 +13,11 @@ import scipy.io
 import trifield.cli
 from trifield.cli import (
     ORACLE_TOLERANCE,
+    REPORT_FORMATS,
     ConfigError,
     OracleCheckResult,
     StudyConfig,
+    build_parser,
     main,
     run_oracle_check,
     run_study,
@@ -43,6 +45,12 @@ def test_config_validation():
     # levels that would fail in the mesh, fail in the JSON report, or run as n=1
     for levels in ((2.0, 4.0), (np.int64(2), np.int64(4)), (True,)):
         with pytest.raises(ConfigError, match=re.escape(f"got {levels[0]!r}")):
+            StudyConfig(levels=levels).validate()
+    # only a tuple: a list or a range would run and leave the config
+    # unhashable, an array or a generator would fail outside ConfigError
+    for levels, name in (([2, 4], "list"), (range(2, 5, 2), "range"),
+                         (np.array([2, 4]), "ndarray"), ((n for n in (2, 4)), "generator")):
+        with pytest.raises(ConfigError, match=f"levels must be a tuple, got {name}"):
             StudyConfig(levels=levels).validate()
     with pytest.raises(ConfigError):
         StudyConfig(levels=(0, 2)).validate()
@@ -79,9 +87,9 @@ def test_config_has_only_the_values_that_change_the_numbers():
 
 def test_render_formats_from_the_python_api():
     result = run_study(StudyConfig(example=ExampleId.LINEAR_PATCH, levels=(2, 4)))
-    markdown = result.render("markdown")
-    assert markdown.startswith("config: {")
-    assert "| elem | err u L2 |" in markdown
+    md = result.render("md")
+    assert md.startswith("config: {")
+    assert "| elem | err u L2 |" in md
     csv_lines = result.render("csv").splitlines()
     assert csv_lines[0].startswith("# config: {")
     assert csv_lines[1] == "elem,eL2,rateL2,e1h,rate1h,eSig,rateSig"
@@ -90,6 +98,18 @@ def test_render_formats_from_the_python_api():
     assert [record["level"] for record in doc["levels"]] == [2, 4]
     with pytest.raises(ValueError, match="yaml"):
         result.render("yaml")
+
+
+def test_each_format_has_one_name():
+    # --format offers exactly the names that StudyResult.render accepts
+    action = next(a for a in build_parser()._actions if a.dest == "format")
+    assert action.choices == REPORT_FORMATS
+    result = run_study(StudyConfig(example=ExampleId.LINEAR_PATCH, levels=(2,)))
+    for fmt in REPORT_FORMATS:
+        assert result.render(fmt).endswith("\n")
+    for fmt in ("markdown", "MD", "yaml"):
+        with pytest.raises(ValueError, match=f"unknown output format {fmt!r}"):
+            result.render(fmt)
 
 
 def test_oracle_check_rejects_large_levels_before_solving(monkeypatch):
@@ -325,7 +345,8 @@ def test_main_invalid_config_exits_2(capsys):
     assert main(["--oracle", "--levels", f"{ORACLE_MAX_LEVEL},{2 * ORACLE_MAX_LEVEL}"]) == 2
     assert "oracle is restricted" in capsys.readouterr().err
     # an empty token is refused, not skipped: "2,,4" would otherwise run as "2,4"
-    for levels in ("2,,4", "2,"):
+    # ASCII digits only: int() would run "1_6" as 16, "٢" as 2 and "+4" as 4
+    for levels in ("2,,4", "2,", "1_6", "٢", "+4", "٢,٤"):
         assert main(["--example", "patch", "--levels", levels]) == 2
         assert capsys.readouterr().err == f"error: cannot parse levels {levels!r}\n"
     # below machine epsilon, as `validate` refuses it

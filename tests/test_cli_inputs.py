@@ -21,7 +21,7 @@ from trifield.cli import main
 
 EDGE_NUMBERS = ("0", "1", "nan", "inf", "-inf", "1e-300", "1e300", "-1", "-1e300",
                 "abc", "")
-REFUSED_LEVELS = ("0", "-1", "-8", "1.5", "nan", "inf", "1e300", "abc", "")
+REFUSED_LEVELS = ("0", "-1", "-8", "1.5", "nan", "inf", "1e300", "abc", "", "1_6", "٢", "+4")
 PATHS = ("missing", "file", "directory", "/dev/full")
 
 
@@ -104,6 +104,8 @@ def test_main_exits_with_a_code_and_one_error_line(flags):
             except SystemExit as exc:  # not an Exception, so hypothesis would not shrink it
                 raise AssertionError(f"main exited with {exc.code!r}") from exc
         assert code in (0, 2, 3, 4), (argv, code)
+        if any(tok in REFUSED_LEVELS for tok in flags["levels"].split(",")):
+            assert code == 2, argv
         lines = stderr.getvalue().splitlines()
         if code != 0:
             assert len(lines) == 1 and lines[0].startswith("error:"), (argv, lines)
