@@ -2,10 +2,11 @@
 
 The three reported quantities are the L2 error of u, the combined norm
 ||e||_{1,Omega} + ||e||_{1/2,h} (a sum of the two norms, not a root sum
-of squares), and the L2 error of the projected gradient. Each norm
-squares and sums a block's errors in place, in arrays it allocated: it
-only reads what a field returns. Rates are log2 ratios of successive
-errors under uniform mesh halving.
+of squares), and the L2 error of the projected gradient. One kernel,
+`_squared_errors`, integrates every squared error in a single pass over
+the quadrature blocks; it squares and sums a block's errors in place, in
+arrays it allocated, and only reads what a field returns. Rates are log2
+ratios of successive errors under uniform mesh halving.
 """
 
 from __future__ import annotations
@@ -29,20 +30,38 @@ from .femcore import (
 from .mesh import Mesh
 
 
-def _integrate(areas: np.ndarray, per_element: np.ndarray) -> float:
-    """Integral over the mesh from the per-element rule sums `values @ rule.weights`."""
-    return 2.0 * float(areas @ per_element)
+def _squared_errors(mesh: Mesh, *pairs: tuple[Callable, Callable]) -> list[float]:
+    """The integral of |exact - discrete|^2 for each (exact, discrete) pair, in one pass.
+
+    `exact(x, y)` gives a field at a block's degree-6 rule points, and
+    `discrete(blk, to_points)` the discrete field there (`to_points` maps
+    a triangle's vertex values to its rule points). A vector field,
+    shape (2, len(blk), q), adds up its squared components.
+    """
+    rule = triangle_quadrature(DATA_TRI_DEGREE)
+    to_points = rule.points.T
+    per = np.empty((len(pairs), mesh.num_triangles))
+    for blk, x, y in quadrature_blocks(mesh, rule):
+        for k, (exact, discrete) in enumerate(pairs):
+            err = exact(x, y) - discrete(blk, to_points)
+            err *= err
+            if err.ndim == 3:
+                err[0] += err[1]
+                err = err[0]
+            per[k, blk] = err @ rule.weights
+    return [2.0 * float(mesh.areas @ row) for row in per]
+
+
+def _p1(mesh: Mesh, values: np.ndarray) -> Callable:
+    """The discrete field of vertex values, shape (V,) or (2, V), for `_squared_errors`."""
+    # take gathers along one axis several times faster than values[:, ...]
+    return lambda blk, to_points: values.take(mesh.triangles[blk], axis=-1) @ to_points
 
 
 def l2_error_u(mesh: Mesh, x_u: np.ndarray, exact_u: Callable) -> float:
     """||u - u_h||_{0,Omega} by element quadrature."""
-    rule = triangle_quadrature(DATA_TRI_DEGREE)
-    l2 = np.empty(mesh.num_triangles)
-    for blk, x, y in quadrature_blocks(mesh, rule):
-        err = exact_u(x, y) - x_u[mesh.triangles[blk]] @ rule.points.T
-        err *= err
-        l2[blk] = err @ rule.weights
-    return math.sqrt(_integrate(mesh.areas, l2))
+    (l2_sq,) = _squared_errors(mesh, (exact_u, _p1(mesh, x_u)))
+    return math.sqrt(l2_sq)
 
 
 def h1h_error_u(mesh: Mesh, x_u: np.ndarray, exact_u: Callable,
@@ -52,21 +71,11 @@ def h1h_error_u(mesh: Mesh, x_u: np.ndarray, exact_u: Callable,
     The first summand is the full H1 norm; the second the edge-weighted
     boundary norm sqrt(sum_e (1/h_e) ||e||^2_{0,e}).
     """
-    rule = triangle_quadrature(DATA_TRI_DEGREE)
     # constant per element
     grad_h = np.einsum("ta,tad->td", x_u[mesh.triangles], mesh.gradients)
-    l2 = np.empty(mesh.num_triangles)
-    h1 = np.empty(mesh.num_triangles)
-    for blk, x, y in quadrature_blocks(mesh, rule):
-        err = exact_u(x, y) - x_u[mesh.triangles[blk]] @ rule.points.T
-        err *= err
-        l2[blk] = err @ rule.weights
-        g_err = exact_grad_u(x, y) - grad_h[blk].T[:, :, None]  # (2, len(blk), q)
-        g_err *= g_err
-        g_err[0] += g_err[1]
-        h1[blk] = g_err[0] @ rule.weights
-    l2_sq = _integrate(mesh.areas, l2)
-    h1_sq = _integrate(mesh.areas, h1)
+    l2_sq, h1_sq = _squared_errors(
+        mesh, (exact_u, _p1(mesh, x_u)),
+        (exact_grad_u, lambda blk, _: grad_h[blk].T[:, :, None]))  # (2, len(blk), 1)
 
     erule = edge_quadrature(DATA_EDGE_DEGREE)
     xk = edge_points(mesh, erule)
@@ -80,29 +89,28 @@ def h1h_error_u(mesh: Mesh, x_u: np.ndarray, exact_u: Callable,
 
 def l2_error_sigma(mesh: Mesh, x_sigma: np.ndarray, exact_grad_u: Callable) -> float:
     """||grad u - sigma_h||_{0,Omega} for the P1-per-component field sigma_h."""
-    rule = triangle_quadrature(DATA_TRI_DEGREE)
     sigma = x_sigma.reshape(2, mesh.num_vertices)
-    per = np.empty(mesh.num_triangles)
-    for blk, x, y in quadrature_blocks(mesh, rule):
-        # take gathers along one axis several times faster than sigma[:, ...]
-        err = sigma.take(mesh.triangles[blk], axis=1) @ rule.points.T  # (2, len(blk), q)
-        np.subtract(exact_grad_u(x, y), err, out=err)
-        err *= err
-        err[0] += err[1]
-        per[blk] = err[0] @ rule.weights
-    return math.sqrt(_integrate(mesh.areas, per))
+    (l2_sq,) = _squared_errors(mesh, (exact_grad_u, _p1(mesh, sigma)))
+    return math.sqrt(l2_sq)
 
 
 def convergence_rates(errors: Sequence[float]) -> tuple[float, ...]:
     """Rates log2(e_coarse / e_fine) under h-halving, aligned with the levels.
 
     The coarsest level has no rate, and a pair with a zero or negative
-    error has none either: both are NaN.
+    error has none either: both are NaN. Finite errors whose ratio
+    overflows or underflows to zero take log2(e_coarse) - log2(e_fine);
+    no input warns.
     """
     errors = np.asarray(errors, dtype=float)
     rates = np.full(errors.size, np.nan)
-    valid = (errors[:-1] > 0.0) & (errors[1:] > 0.0)
-    rates[1:][valid] = np.log2(errors[:-1][valid] / errors[1:][valid])
+    coarse, fine = errors[:-1], errors[1:]
+    valid = (coarse > 0.0) & (fine > 0.0)
+    # inf / inf is NaN and x / inf takes log2(0) = -inf, as they always have
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        rates[1:][valid] = np.log2(coarse[valid] / fine[valid])
+    extreme = valid & np.isfinite(coarse) & np.isfinite(fine) & np.isinf(rates[1:])
+    rates[1:][extreme] = np.log2(coarse[extreme]) - np.log2(fine[extreme])
     return tuple(rates.tolist())
 
 

@@ -128,7 +128,10 @@ class StudyConfig:
     def echo(self) -> dict:
         """The fields as JSON values, for the report's config record."""
         echo = {f.name: getattr(self, f.name) for f in fields(self)}
-        return echo | {"example": self.example.value, "levels": list(self.levels)}
+        # equal configs echo alike: alpha=10 and alpha=10.0 are both 10.0
+        return echo | {"example": self.example.value, "levels": list(self.levels),
+                       "r": float(self.r), "alpha": float(self.alpha),
+                       "cg_tol": float(self.cg_tol)}
 
 
 @dataclass(frozen=True)

@@ -277,9 +277,9 @@ def dense_lu_solve(a: np.ndarray | scipy.sparse.sparray, b: np.ndarray) -> np.nd
 
     `a` is a dense array or a `scipy.sparse` matrix; neither it nor `b`
     is changed. The bandwidths kl and ku are read from the nonzeros of
-    `a`, after duplicates are summed and stored zeros dropped, and LAPACK
-    factorises the band alone (`dgbtrf`, `dgbtrs`): its storage is
-    (2 kl + ku + 1) x n, so a dense copy of a banded `a` is never made,
+    `a`, after duplicates are summed and stored zeros dropped, and one
+    LAPACK call (`dgbsv`) factorises and solves the band alone: its storage
+    is (2 kl + ku + 1) x n, so a dense copy of a banded `a` is never made,
     and a sparse `a` and its dense copy give bitwise the same x. Raises
     ValueError, before LAPACK runs, unless `a` is square and non-empty,
     `b` has one row per row of `a` and both are finite. Singularity is
@@ -289,7 +289,7 @@ def dense_lu_solve(a: np.ndarray | scipy.sparse.sparray, b: np.ndarray) -> np.nd
     `perfbench/tracer.py` wraps this function by it. The first call
     loads `scipy.linalg`.
     """
-    from scipy.linalg.lapack import dgbtrf, dgbtrs
+    from scipy.linalg.lapack import dgbsv
 
     if not scipy.sparse.issparse(a):
         a = np.asarray(a, dtype=float)
@@ -308,10 +308,10 @@ def dense_lu_solve(a: np.ndarray | scipy.sparse.sparray, b: np.ndarray) -> np.nd
     # j; the kl rows above it hold the fill that row interchanges make
     band = np.zeros((2 * kl + ku + 1, n), order="F")
     band[kl + ku + offset, a.indices] = a.data
-    lu, piv, info = dgbtrf(band, kl, ku, overwrite_ab=True)
+    x, info = dgbsv(kl, ku, band, b, overwrite_ab=True)[2:]
     if info > 0:
         raise SingularMatrixError(f"matrix is singular: pivot {info} of {n} is exactly zero")
-    return dgbtrs(lu, kl, ku, b, piv)[0]
+    return x
 
 
 def write_matrix_market(a: scipy.sparse.csr_array, path: str | Path) -> Path:

@@ -127,6 +127,45 @@ def test_norms_never_write_into_field_values(problem):
             == norms(data.exact_u, data.exact_grad_u))
 
 
+def test_each_norm_walks_the_blocks_once_and_evaluates_each_field_once(monkeypatch):
+    # example 2 at n=8: 128 triangles in one block, 32 boundary edges; the
+    # degree-6 rule has 12 points, the boundary rule 3
+    mesh = build_structured_unit_square(8)
+    data = example2()
+    rng = np.random.default_rng(7)
+    x_u = rng.standard_normal(mesh.num_vertices)
+    x_sigma = rng.standard_normal(2 * mesh.num_vertices)
+    passes = []
+
+    def counted_blocks(mesh, rule):
+        passes.append(len(rule.weights))
+        return femcore.quadrature_blocks(mesh, rule)
+
+    monkeypatch.setattr("trifield.analysis.quadrature_blocks", counted_blocks)
+    points = {}
+
+    def counted(name, field):
+        def evaluate(x, y):
+            points[name] = points.get(name, 0) + np.size(x)
+            return field(x, y)
+
+        return evaluate
+
+    u, grad_u = counted("u", data.exact_u), counted("grad_u", data.exact_grad_u)
+    in_triangles, on_boundary = 12 * mesh.num_triangles, 3 * len(mesh.boundary_edges)
+    for norm, args, want in (
+        (l2_error_u, (x_u, u), {"u": in_triangles}),
+        (h1h_error_u, (x_u, u, grad_u), {"u": in_triangles + on_boundary,
+                                         "grad_u": in_triangles}),
+        (l2_error_sigma, (x_sigma, grad_u), {"grad_u": in_triangles}),
+    ):
+        passes.clear()
+        points.clear()
+        norm(mesh, *args)
+        assert passes == [12], norm.__name__
+        assert points == want, norm.__name__
+
+
 def test_rates_on_synthetic_sequences():
     np.testing.assert_allclose(convergence_rates([0.4, 0.1]), [np.nan, 2.0], atol=1e-15)
     geometric = [3.2 * 4.0 ** (-k) for k in range(6)]
@@ -150,6 +189,10 @@ def test_rates_degenerate_inputs():
     # a single level has no rate, and no levels no rates
     assert len(convergence_rates([1.0])) == 1 and math.isnan(convergence_rates([1.0])[0])
     assert convergence_rates([]) == ()
+    # the ratio overflows or underflows to zero, the rate does not (and no
+    # warning is raised: the suite turns warnings into errors)
+    assert convergence_rates([1e300, 1e-300])[1] == pytest.approx(600 * math.log2(10))
+    assert convergence_rates([1e-300, 1e300])[1] == pytest.approx(-600 * math.log2(10))
 
 
 @pytest.fixture

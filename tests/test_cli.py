@@ -83,6 +83,12 @@ def test_config_has_only_the_values_that_change_the_numbers():
     doc = json.loads(run_study(config).render("json"))
     assert sorted(doc["config"]) == sorted(fields)
     assert doc["config"] == config.echo()
+    # equal configs render equal reports, whether alpha is an int or a float
+    as_int, as_float = StudyConfig(levels=(2,), alpha=10), StudyConfig(levels=(2,), alpha=10.0)
+    assert as_int == as_float and hash(as_int) == hash(as_float)
+    result = run_study(as_int)
+    for fmt in REPORT_FORMATS:
+        assert result.render(fmt) == dataclasses.replace(result, config=as_float).render(fmt)
 
 
 def test_render_formats_from_the_python_api():

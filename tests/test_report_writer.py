@@ -5,7 +5,6 @@ infinities and the extremes of the float range."""
 import json
 import math
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -56,9 +55,6 @@ def _markdown_cells(line):
     return [cell.strip() for cell in line.split("|")[1:-1]]
 
 
-# ratios of extreme errors overflow, underflow or divide inf by inf in
-# the rate's log2, and numpy warns about each
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @settings(max_examples=200, deadline=None)
 @given(table=tables())
 def test_every_cell_reads_back_as_its_value(table):
