@@ -115,13 +115,15 @@ def assemble(mesh: Mesh, data: ProblemData) -> BlockSystem:
         shape=(2 * nvert, 2 * nvert),
     ))
 
-    # dual pairing: diagonal by biorthogonality
-    d_loc = scale[:, None] * np.einsum("q,qa,qa->a", w, shp, mu)
-    d_diag = np.bincount(tri.ravel(), d_loc.ravel(), minlength=nvert)
+    # the dual moments 2|T| * sum_q w_q mu_b(q), one per corner
+    mu_moment = scale[:, None] * (w @ mu)  # (T, 3)
+
+    # dual pairing: diagonal by biorthogonality, and int_T lambda_a mu_a =
+    # int_T mu_a, so D sums the dual moments
+    d_diag = np.bincount(tri.ravel(), mu_moment.ravel(), minlength=nvert)
 
     # gradient against dual functions: grad(rho_a) is constant, so only
-    # the dual moments 2|T| * sum_q w_q mu_b(q) enter; B = [B_x, B_y]
-    mu_moment = scale[:, None] * (w @ mu)  # (T, 3)
+    # the dual moments enter; B = [B_x, B_y]
     b_mat = canonical(scipy.sparse.hstack([
         _on_pattern(mesh, grads[:, :, c, None] * mu_moment[:, None, :]) for c in range(2)
     ], format="csr"))

@@ -103,6 +103,9 @@ class StudyConfig:
             value = getattr(self, name)
             if not isinstance(value, (int, float)) or isinstance(value, bool):
                 raise ConfigError(f"{name} must be a real number, got {value!r}")
+            # an int that float() cannot convert would overflow in the study
+            if isinstance(value, int) and abs(value) > sys.float_info.max:
+                raise ConfigError(f"{name} must lie within the float range")
         if not 0.0 < self.r < 1.0:
             raise ConfigError(f"r must lie in (0, 1), got {self.r}")
         if not 0.0 < self.alpha < np.inf:
@@ -192,8 +195,14 @@ def solve_level(
     """Run the condensed pipeline at one refinement level.
 
     `coarse` is the solution of grid n // 2, one value per vertex (any
-    other shape raises ValueError), or None. A multigrid level starts CG
-    from its prolongation; every other level starts from zero.
+    other shape raises ValueError), or None. CG on K x_u = F is
+    preconditioned by multigrid where grid n allows it
+    (`multigrid_hierarchy`), by Jacobi elsewhere. A Jacobi level starts
+    from zero. A multigrid level builds its prolongations once: the
+    V-cycle uses them all, and the first, from grid n // 2, carries
+    `coarse` into the start (nested iteration). The report's wall time
+    includes the multigrid set-up, and a set-up that meets an indefinite
+    operator is reported, not raised.
     """
     coarse_size = (n // 2 + 1) ** 2
     if coarse is not None and np.shape(coarse) != (coarse_size,):
@@ -210,7 +219,22 @@ def solve_level(
             f"loads at level n={n} are not finite with alpha = {config.alpha:g}; "
             "check the source and boundary data and the penalty weight"
         )
-    x_u, report = _solve_condensed(n, system, config, coarse)
+    hierarchy = multigrid_hierarchy(n)
+    if not hierarchy:
+        x_u, report = cg_solve(system.K, system.F, tol=config.cg_tol)
+    else:
+        t0 = time.perf_counter()
+        prolongations = [prolongation(m) for m in hierarchy[1:]]
+        try:
+            precond = multigrid_preconditioner(system.K, prolongations)
+        except IndefiniteOperatorError:
+            x_u = np.zeros_like(system.F)
+            report = SolveReport(0, 1.0, False, 0.0, indefinite=True)
+        else:
+            x_u, report = cg_solve(system.K, system.F, tol=config.cg_tol, precond=precond,
+                                   x0=None if coarse is None else prolongations[0] @ coarse)
+        report = replace(report, wall_time=time.perf_counter() - t0,
+                         preconditioner="multigrid", mg_levels=len(hierarchy))
     x_sigma = recover_sigma(blocks, x_u)
     return LevelSolution(mesh, blocks, system, x_u, x_sigma, report)
 
@@ -224,34 +248,6 @@ def multigrid_hierarchy(n: int) -> tuple[int, ...]:
     while levels[-1] % 2 == 0 and levels[-1] > MULTIGRID_MIN_COARSEST:
         levels.append(levels[-1] // 2)
     return tuple(levels) if levels[-1] <= MULTIGRID_MAX_COARSEST else ()
-
-
-def _solve_condensed(
-    n: int, system: CondensedSystem, config: StudyConfig, coarse: np.ndarray | None
-) -> tuple[np.ndarray, SolveReport]:
-    """CG on K x_u = F, preconditioned by multigrid where grid n allows it.
-
-    A Jacobi level starts from zero. A multigrid level builds its
-    prolongations once: the V-cycle uses them all, and the first, from
-    grid n // 2, carries `coarse` into the start (nested iteration). The
-    report's wall time includes the multigrid set-up.
-    """
-    hierarchy = multigrid_hierarchy(n)
-    if not hierarchy:
-        return cg_solve(system.K, system.F, tol=config.cg_tol)
-    t0 = time.perf_counter()
-    prolongations = [prolongation(m) for m in hierarchy[1:]]
-    x0 = None if coarse is None else prolongations[0] @ coarse
-    try:
-        precond = multigrid_preconditioner(system.K, prolongations)
-    except IndefiniteOperatorError:
-        x_u = np.zeros_like(system.F)
-        report = SolveReport(0, 1.0, False, 0.0, indefinite=True)
-    else:
-        x_u, report = cg_solve(system.K, system.F, tol=config.cg_tol,
-                               precond=precond, x0=x0)
-    return x_u, replace(report, wall_time=time.perf_counter() - t0,
-                        preconditioner="multigrid", mg_levels=len(hierarchy))
 
 
 def walk_levels(config: StudyConfig, data: ProblemData) -> Iterator[LevelSolution]:
@@ -291,18 +287,15 @@ def _study_problem(config: StudyConfig, data: ProblemData | None) -> ProblemData
 def _tabulate(config: StudyConfig, data: ProblemData,
               levels: Iterable[LevelSolution]) -> StudyResult:
     """The errors and solver record of every level, each taken as it is walked."""
-    records, elements, errors = [], [], []
+    rows = []  # (record, elements, *errors in field order) per level
     for sol in levels:
-        records.append(LevelRecord(sol.level, sol.report))
-        elements.append(sol.mesh.num_triangles)
-        errors.append((
-            l2_error_u(sol.mesh, sol.x_u, data.exact_u),
-            h1h_error_u(sol.mesh, sol.x_u, data.exact_u, data.exact_grad_u),
-            l2_error_sigma(sol.mesh, sol.x_sigma, data.exact_grad_u),
-        ))
+        rows.append((LevelRecord(sol.level, sol.report), sol.mesh.num_triangles,
+                     l2_error_u(sol.mesh, sol.x_u, data.exact_u),
+                     h1h_error_u(sol.mesh, sol.x_u, data.exact_u, data.exact_grad_u),
+                     l2_error_sigma(sol.mesh, sol.x_sigma, data.exact_grad_u)))
         del sol  # drop the level before the walk builds the next one
-    table = ErrorTable(config.levels, tuple(elements), *zip(*errors))  # errors in field order
-    return StudyResult(config=config, table=table, solutions=tuple(records))
+    records, *columns = zip(*rows)
+    return StudyResult(config, ErrorTable(config.levels, *columns), records)
 
 
 def run_study(config: StudyConfig, data: ProblemData | None = None) -> StudyResult:
@@ -361,25 +354,17 @@ def run_oracle_check(config: StudyConfig) -> OracleCheckResult:
         )
     config = replace(config, cg_tol=min(config.cg_tol, 1e-13))
 
-    d_u, d_s, d_p = [], [], []
+    rows = []  # (du, dsigma, dphi) per level
     for sol in walk_levels(config, data):
         try:
-            full_u, full_sigma, full_phi = solve_full_saddle(sol.blocks, config.r, config.alpha)
+            full = solve_full_saddle(sol.blocks, config.r, config.alpha)  # (u, sigma, phi)
         except SingularMatrixError as exc:
             raise OracleFailure(f"the full-saddle oracle failed at level n={sol.level}: "
                                 f"{exc}") from exc
-        d_u.append(_rel_max_diff(sol.x_u, full_u))
-        d_s.append(_rel_max_diff(sol.x_sigma, full_sigma))
         phi = recover_phi(sol.blocks, sol.x_u, sol.x_sigma, config.r)
-        d_p.append(_rel_max_diff(phi, full_phi))
+        rows.append(tuple(map(_rel_max_diff, (sol.x_u, sol.x_sigma, phi), full)))
         del sol  # drop the level before the walk builds the next one
-
-    return OracleCheckResult(
-        levels=config.levels,
-        discrepancy_u=tuple(d_u),
-        discrepancy_sigma=tuple(d_s),
-        discrepancy_phi=tuple(d_p),
-    )
+    return OracleCheckResult(config.levels, *zip(*rows))
 
 
 def _export_levels(levels: Iterable[LevelSolution],

@@ -70,6 +70,14 @@ def test_config_validation():
         (name, value), = bad.items()
         with pytest.raises(ConfigError, match=f"^{name}.*got {re.escape(repr(value))}$"):
             StudyConfig(**bad).validate()
+    # an int beyond the float range passes every range check above and
+    # would overflow once the study converts it
+    for name in ("r", "alpha", "cg_tol"):
+        for value in (10**400, -10**400):
+            with pytest.raises(ConfigError, match=f"^{name} must lie within the float range$"):
+                StudyConfig(**{name: value}).validate()
+    with pytest.raises(ConfigError, match="^alpha must lie within the float range$"):
+        run_study(StudyConfig(alpha=10**400, levels=(2,)))
     # a float64 is a float, and the report serialises it
     config = StudyConfig(r=np.float64(0.5))
     config.validate()
