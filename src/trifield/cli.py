@@ -7,9 +7,10 @@ once its errors are taken. Emits the rate table (CSV, Markdown or JSON
 with embedded config), and optionally cross-checks the condensed path
 against the direct full-saddle-point oracle.
 
-Exit codes: 0 success, 2 invalid configuration or an output path that
-cannot be written, 3 solver failure, 4 oracle-check failure; each
-failure prints one `error:` line on stderr.
+Exit codes: 0 success, 2 invalid configuration, an output path that
+cannot be written or a level that does not fit in memory, 3 solver
+failure, 4 oracle-check failure; each failure prints one `error:` line
+on stderr.
 """
 
 from __future__ import annotations
@@ -479,6 +480,10 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, OSError, SolverFailure, OracleFailure) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return {SolverFailure: 3, OracleFailure: 4}.get(type(exc), 2)
+    except MemoryError as exc:
+        # numpy names the allocation that failed; Python's own has no message
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
+        return 2
     return 0
 
 

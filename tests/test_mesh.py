@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 import scipy.sparse
 
+from trifield.assembly import assemble
 from trifield.linsolve import canonical
 from trifield.mesh import Mesh, build_structured_unit_square, prolongation, write_mesh_files
+from trifield.problems import example1
 
 
 @pytest.mark.parametrize(
@@ -168,6 +170,19 @@ def test_degenerate_mesh_is_rejected_by_geometry():
     for name in ("areas", "gradients", "areas"):  # a failed computation is not cached
         with pytest.raises(ValueError, match="counterclockwise"):
             getattr(mesh, name)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_vertex_is_rejected_by_geometry(value):
+    # NaN areas pass a `<= 0` sign test, and assembly would then blame the
+    # dual pairing; pytest turns warnings into errors, so none is raised
+    good = build_structured_unit_square(2)
+    vertices = good.vertices.copy()
+    vertices[4, 0] = value
+    with pytest.raises(ValueError, match="non-finite vertex"):
+        Mesh(vertices, good.triangles, good.level).areas
+    with pytest.raises(ValueError, match="non-finite vertex"):
+        assemble(Mesh(vertices, good.triangles, good.level), example1())
 
 
 @pytest.mark.parametrize("name", ["boundary_edges", "boundary_normal", "boundary_length"])

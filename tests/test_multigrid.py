@@ -81,8 +81,11 @@ def test_hierarchy_rule():
 def test_galerkin_operators_are_symmetric():
     system = condensed(32)
     mg = multigrid_preconditioner(system.K, [prolongation(16), prolongation(8)])
-    assert [op.shape[0] for op in mg.operators] == [33**2, 17**2, 9**2]
-    for op in mg.operators:
+    # the coarsest operator is not kept: form it from the last record
+    _, _, _, restriction, kp = mg.levels[-1]
+    operators = [level[0] for level in mg.levels] + [restriction @ kp]
+    assert [op.shape[0] for op in operators] == [33**2, 17**2, 9**2]
+    for op in operators:
         assert abs(op - op.T).max() <= 1e-12 * abs(op).max()
 
 
@@ -126,10 +129,9 @@ def test_solve_level_selects_the_preconditioner_from_the_grid():
 def test_hierarchy_matrices_have_32_bit_indices():
     system = condensed(64)
     mg = preconditioner(system, 64)
-    assert len(mg.operator_prolongations) == len(mg.restrictions) == 3
-    for group in (mg.operators, mg.prolongations, mg.restrictions,
-                  mg.operator_prolongations):
-        for mat in group:
+    assert len(mg.levels) == 3
+    for k, _, p, restriction, kp in mg.levels:
+        for mat in (k, p, restriction, kp, restriction @ kp):
             assert mat.indices.dtype == mat.indptr.dtype == np.int32
 
 
