@@ -12,9 +12,10 @@ multiplier coefficients. The blocks are free of r and alpha: both
 weights enter here, in `condense`, `recover_phi` and
 `solve_full_saddle`, so one assembly serves any (r, alpha). A direct
 solve of the full indefinite block system is kept as a verification
-oracle: its matrix is assembled from the stored sparse blocks, numbered
-vertex by vertex so that it is banded, equilibrated by powers of two,
-and factorised by LU in band storage; it is never made dense.
+oracle: its matrix is built in one pass from the stored blocks' CSR
+arrays, numbered vertex by vertex so that it is banded, equilibrated by
+powers of two, and factorised by LU in band storage; it is never made
+dense.
 """
 
 from __future__ import annotations
@@ -97,10 +98,13 @@ def solve_full_saddle(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Solve the uncondensed block system directly (verification oracle).
 
-    The 5N x 5N operator is assembled from the sparse blocks and never
-    made dense. Its unknowns are renumbered vertex by vertex, from
-    f N + v to 5 v + f for field f of vertex v, which makes it banded
-    (kl = ku = 94 at n = 16), and `dense_lu_solve` factorises the band.
+    The 5N x 5N operator is never made dense. It is built in one pass as
+    32-bit triplets: (1-r) S + alpha C is its one sparse sum, and every
+    other block's rows and columns come from its canonical CSR `indptr`
+    and `indices`, swapped for a transposed block. Its unknowns are
+    renumbered vertex by vertex, from f N + v to 5 v + f for field f of
+    vertex v, which makes it banded (kl = ku = 94 at n = 16), and
+    `dense_lu_solve` factorises the band.
     Row and column i are first scaled by the same power of two,
     2^-floor(e_i / 2) where 2^e_i bounds the largest |entry| of row i:
     exact, and it keeps the banded LU componentwise backward stable
@@ -113,27 +117,36 @@ def solve_full_saddle(
     if n > limit:
         raise ValueError(f"full saddle solve is a desk-scale oracle (N = {n} > {limit})")
 
-    d = scipy.sparse.diags_array(blocks.D)
-    full = scipy.sparse.block_array(
-        [
-            [(1.0 - r) * blocks.S + alpha * blocks.C, -blocks.A, -blocks.B],
-            [-blocks.A.T, r * blocks.M, d],
-            [-blocks.B.T, d, None],
-        ],
-        format="coo",
-    )
-    rhs = np.concatenate([blocks.f1(alpha), -blocks.f2, np.zeros(2 * n)])
+    # block rows and columns of a canonical CSR block placed at (row0, col0);
+    # its transpose, placed at (col0, row0), swaps the two
+    def place(mat, row0, col0):
+        rows = np.arange(row0, row0 + mat.shape[0], dtype=np.int32)
+        return np.repeat(rows, np.diff(mat.indptr)), mat.indices + np.int32(col0)
+
+    # summed, not placed as two blocks: each row's largest summed entry sets its scale
+    local = (1.0 - r) * blocks.S + alpha * blocks.C
+    u_sigma, u_phi = place(blocks.A, 0, n), place(blocks.B, 0, 3 * n)
+    sigma = np.arange(n, 3 * n, dtype=np.int32)
+    sigma_phi = sigma, sigma + np.int32(2 * n)
+    # [[(1-r) S + alpha C, -A, -B], [-A^T, r M, D], [-B^T, D, 0]]
+    row, col = (np.concatenate(part) for part in zip(
+        place(local, 0, 0), u_sigma, u_sigma[::-1], u_phi, u_phi[::-1],
+        place(blocks.M, n, n), sigma_phi, sigma_phi[::-1]))
+    del u_sigma, u_phi, sigma, sigma_phi
+    neg_a, neg_b = -blocks.A.data, -blocks.B.data
+    data = np.concatenate(
+        [local.data, neg_a, neg_a, neg_b, neg_b, r * blocks.M.data, blocks.D, blocks.D])
+    del local, neg_a, neg_b
     # block index f N + v -> vertex index 5 v + f; a vector is renumbered
     # by reshape(5, n).T and back by reshape(n, 5).T
-    vertex_order = np.arange(5 * n).reshape(n, 5).T.ravel()
-    row, col = vertex_order[full.row], vertex_order[full.col]
+    row, col = 5 * (row % n) + row // n, 5 * (col % n) + col // n
     row_max = np.zeros(5 * n)
-    np.maximum.at(row_max, row, np.abs(full.data))
+    np.maximum.at(row_max, row, np.abs(data))
     scale = np.ldexp(1.0, -(np.frexp(row_max)[1] // 2))
-    scaled = scipy.sparse.coo_array(
-        (full.data * scale[row] * scale[col], (row, col)), shape=full.shape
-    )
-    del full
+    data *= scale[row]
+    data *= scale[col]
+    scaled = scipy.sparse.coo_array((data, (row, col)), shape=(5 * n, 5 * n))
+    rhs = np.concatenate([blocks.f1(alpha), -blocks.f2, np.zeros(2 * n)])
     rhs = rhs.reshape(5, n).T.ravel()
     x = scale * dense_lu_solve(scaled, scale * rhs)
     sol = x.reshape(n, 5).T.ravel()

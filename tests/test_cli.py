@@ -368,6 +368,12 @@ def test_oracle_check_fails_when_any_discrepancy_is_nan_or_too_large():
         (2, 4), fine, fine, (np.nan, 0.0)).render()
 
 
+def test_a_discrepancy_against_a_zero_reference_is_absolute():
+    # no built-in example has a field that is zero at every vertex
+    assert trifield.cli._rel_max_diff(np.array([0.0, -2e-12]), np.zeros(2)) == 2e-12
+    assert trifield.cli._rel_max_diff(np.zeros(2), np.zeros(2)) == 0.0
+
+
 def test_main_invalid_config_exits_2(capsys):
     assert main(["--r", "1.5"]) == 2
     assert main(["--levels", "4,2"]) == 2

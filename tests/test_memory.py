@@ -8,16 +8,18 @@ bounds sit 26% and 11% above the ratios measured at n=64 (assemble 3.17,
 condense 2.62; at n=256 2.62 and 2.57). Building the blocks from COO
 triplets, summing K term by term, and keeping every intermediate of
 condense to the end read 7.89, 3.72 and 2.96 at n=64. The multigrid
-set-up, prolongations included, reads 0.91 times K's bytes at n=64
-(0.85 at n=256) while it keeps every K_l P_l; a copy of K for its l1
-row sums and 64-bit transfers read 1.54. A study holds one
-level at a time, so its peak is that of its finest level alone: 1.006
-times at levels 32, 64, 128 of example 2, against 1.19 when every
-level's mesh, blocks and K were kept to the end. The oracle factorises
+set-up, prolongations included, reads 0.94 times K's bytes at n=64
+(0.85 at n=256) while it keeps one record per level, K_l P_l included;
+a copy of K for its l1 row sums and 64-bit transfers read 1.54. A study
+holds one level at a time, so its peak is that of its finest level
+alone: 1.006 times at levels 32, 64, 128 of example 2, against 1.19 when
+every level's mesh, blocks and K were kept to the end. The oracle factorises
 its 5N x 5N matrix in LAPACK band storage, (2 kl + ku + 1) x 5N doubles,
-and never makes it dense: its peak is 1.28 times the band at n=16 (1.08
-at n=64), or 0.25 times the dense matrix, whose in-place dense LU peaked
-at 1.14 times that matrix.
+and never makes it dense: built from the blocks' CSR arrays with 32-bit
+indices, its peak is 1.25 times the band at n=16 (1.07 at n=64), or 0.24
+times the dense matrix, whose in-place dense LU peaked at 1.14 times
+that matrix. Built through `scipy.sparse.block_array`, it read 1.28
+(1.08).
 
 Each test runs alone as in the full suite: a fixture first runs the
 traced paths at a tiny level, so that neither the quadrature rules nor

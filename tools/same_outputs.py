@@ -30,7 +30,9 @@ COMMANDS = (
     "--example 2 --levels 16,32,64,128,256",
     "--example 2 --levels 16,32,64,128,256 --format csv",
     "--example 2 --levels 16,32,64,128,256 --format json",
+    "--example 1 --levels 4,8,16 --oracle",
     "--example 2 --levels 4,8,16,32,64 --oracle",
+    "--example 2 --levels 4,8,16 --alpha 1e12 --oracle",  # exits 4, table still printed
     "--example patch --levels 2,4 --format json",
 )
 
