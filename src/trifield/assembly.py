@@ -106,9 +106,11 @@ def assemble(mesh: Mesh, data: ProblemData) -> BlockSystem:
     del s_loc
 
     # scalar mass m, stacked into the vector mass diag(m, m): the second
-    # copy's columns shift by N and its row pointers by nnz(m)
+    # copy's columns shift by N and its row pointers by nnz(m). m is summed
+    # onto the sorted pattern and has no zero entry, so one canonical copy
+    # of the stack is enough
     mass_ref = np.einsum("q,qa,qb->ab", w, shp, shp)
-    m = canonical(_on_pattern(mesh, scale[:, None, None] * mass_ref))
+    m = _on_pattern(mesh, scale[:, None, None] * mass_ref)
     m_mat = canonical(scipy.sparse.csr_array(
         (np.tile(m.data, 2), np.concatenate([m.indices, m.indices + nvert]),
          np.concatenate([m.indptr, m.indptr[1:] + m.nnz])),
@@ -144,15 +146,11 @@ def assemble(mesh: Mesh, data: ProblemData) -> BlockSystem:
     c_vals = (edge_pairings / h_e[:, None]).ravel()
     c_mat = scipy.sparse.coo_array((c_vals, (e_rows, e_cols)), shape=(nvert, nvert))
 
-    a_rows = np.concatenate([e_rows, e_rows])
-    a_cols = np.concatenate([e_cols, nvert + e_cols])
-    a_vals = np.concatenate(
-        [
-            (normals[:, 0:1] * edge_pairings).ravel(),
-            (normals[:, 1:2] * edge_pairings).ravel(),
-        ]
-    )
-    a_mat = scipy.sparse.coo_array((a_vals, (a_rows, a_cols)), shape=(nvert, 2 * nvert))
+    # component c of the normal couples to the dofs c*N + vertex, as in f2
+    a_vals = normals.T[:, :, None] * edge_pairings               # (2, E, 4)
+    a_cols = e_cols + nvert * np.arange(2)[:, None]              # (2, 4E)
+    a_mat = scipy.sparse.coo_array((a_vals.ravel(), (np.tile(e_rows, 2), a_cols.ravel())),
+                                   shape=(nvert, 2 * nvert))
 
     # loads
     lrule = triangle_quadrature(DATA_TRI_DEGREE)

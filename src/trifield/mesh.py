@@ -1,15 +1,17 @@
 """Triangulations of the unit square.
 
-A mesh is its vertices and counterclockwise triangles. The structured
-grid is n x n square cells, each cut along the lower-left to upper-right
-diagonal, giving 2*n^2 triangles with vertices numbered row-major (x
-fastest). The element geometry (`areas`, `gradients`), the P1 sparsity
-pattern that assembly sums onto (`p1_pattern`), and the boundary edges
-with their outward unit normals and lengths h_e (which the edge-wise
-boundary norms and the Nitsche terms need) are read-only attributes,
-derived from the triangles once per mesh, on first use.
-Halving the grid nests the triangulations, and `prolongation` gives the
-exact P1 interpolation between two nested levels.
+A mesh is its vertices and counterclockwise triangles, whose shapes and
+vertex indices are checked when it is made. The structured grid is n x n
+square cells, each cut along the lower-left to upper-right diagonal,
+giving 2*n^2 triangles with vertices numbered row-major (x fastest). The
+element geometry (`areas`, `gradients`, both from one pass over the
+triangles' corners), the P1 sparsity pattern that assembly sums onto
+(`p1_pattern`), and the boundary edges with their outward unit normals
+and lengths h_e (which the edge-wise boundary norms and the Nitsche
+terms need) are read-only attributes, derived from the triangles once
+per mesh, on first use. Halving the grid nests the triangulations, and
+`prolongation` gives the exact P1 interpolation between two nested
+levels.
 """
 
 from __future__ import annotations
@@ -37,49 +39,60 @@ class Mesh:
     level: int
 
     # derived from the triangles on first use, read-only
+    areas = property(lambda self: self._geometry[0])            # (T,) float, see _geometry
+    gradients = property(lambda self: self._geometry[1])        # (T, 3, 2) float, see _geometry
     boundary_edges = property(lambda self: self._boundary[0])   # (E, 2) int, ccw in triangle
     boundary_normal = property(lambda self: self._boundary[1])  # (E, 2) float, outward unit
     boundary_length = property(lambda self: self._boundary[2])  # (E,) float, edge length h_e
 
     def __post_init__(self):
-        for arr in (self.vertices, self.triangles):
+        vertices, triangles = self.vertices, self.triangles
+        if vertices.ndim != 2 or vertices.shape[1] != 2:
+            raise ValueError(f"mesh vertices must be a (V, 2) array, got shape {vertices.shape}")
+        if triangles.ndim != 2 or triangles.shape[1] != 3 or not len(triangles):
+            raise ValueError("mesh triangles must be a (T, 3) array with T >= 1, "
+                             f"got shape {triangles.shape}")
+        if not np.issubdtype(triangles.dtype, np.integer):
+            raise ValueError("mesh triangles must hold integer vertex indices, "
+                             f"got dtype {triangles.dtype}")
+        low, high = triangles.min(), triangles.max()
+        if low < 0 or high >= len(vertices):
+            raise ValueError(f"mesh triangles refer to vertex {low if low < 0 else high}, "
+                             f"outside 0..{len(vertices) - 1}")
+        for arr in (vertices, triangles):
             arr.flags.writeable = False
 
     @cached_property
-    def areas(self) -> np.ndarray:
-        """Area of every triangle, (T,); raises ValueError unless every vertex
-        coordinate is finite and every area positive, i.e. every triangle is
-        counterclockwise and nondegenerate."""
+    def _geometry(self) -> tuple[np.ndarray, np.ndarray]:
+        """Areas (T,) and barycentric gradients (T, 3, 2) of all triangles.
+
+        Row [t, a] of the gradients is the constant gradient of the
+        barycentric coordinate of local vertex a of triangle t. Raises
+        ValueError unless every vertex coordinate is finite and every area
+        positive, i.e. every triangle is counterclockwise and nondegenerate.
+        """
         # before the gather, so that a bad vertex is named as the cause and
         # an inf vertex raises no inf - inf warning on its way to NaN areas
         if not np.all(np.isfinite(self.vertices)):
             raise ValueError("mesh has a non-finite vertex coordinate")
-        # (T, 3, 2); np.take gathers these rows ~6x faster than fancy indexing
-        # (numpy 2.4, n=256: 0.9 against 6.3 ms)
-        p = np.take(self.vertices, self.triangles, axis=0)
-        d1 = p[:, 1] - p[:, 0]
-        d2 = p[:, 2] - p[:, 0]
-        twice_area = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+        # corners p1, p2, p0, p1 of every triangle, (T, 4, 2), so that
+        # e[:, a] = p_{a+2} - p_{a+1} is the edge opposite corner a; one
+        # np.take (~6x faster than fancy indexing, numpy 2.4) keeps e and
+        # the gradients C-ordered, where a second index on axis 1 would not
+        corners = np.take(self.vertices, self.triangles[:, [1, 2, 0, 1]], axis=0)
+        e = np.diff(corners, axis=1)
+        del corners  # the geometry's peak is then e, the areas and the gradients
+        # e2 = p1 - p0 and e1 = -(p2 - p0) exactly, so this is (p1 - p0) x (p2 - p0)
+        twice_area = e[:, 2, 1] * e[:, 1, 0] - e[:, 2, 0] * e[:, 1, 1]
         if not np.all(twice_area > 0.0):
             raise ValueError("mesh contains a non-counterclockwise or degenerate triangle")
         areas = 0.5 * twice_area
-        areas.flags.writeable = False
-        return areas
-
-    @cached_property
-    def gradients(self) -> np.ndarray:
-        """Barycentric gradients (T, 3, 2): row [t, a] is the constant
-        gradient of the barycentric coordinate of local vertex a of triangle t."""
-        p = np.take(self.vertices, self.triangles, axis=0)
-        grads = np.empty((self.num_triangles, 3, 2))
-        # grad(lambda_a) = rot90(p_{a+2} - p_{a+1}) / (2 |T|)
-        for a in range(3):
-            e = p[:, (a + 2) % 3] - p[:, (a + 1) % 3]
-            grads[:, a, 0] = -e[:, 1]
-            grads[:, a, 1] = e[:, 0]
-        grads /= (2.0 * self.areas)[:, None, None]
-        grads.flags.writeable = False
-        return grads
+        # grad(lambda_a) = rot90(e_a) / (2 |T|)
+        grads = e[:, :, ::-1] * np.array([-1.0, 1.0])
+        grads /= (2.0 * areas)[:, None, None]
+        for arr in (areas, grads):
+            arr.flags.writeable = False
+        return areas, grads
 
     @cached_property
     def p1_pattern(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -93,6 +106,7 @@ class Mesh:
         minlength=indices.size)`, which sums the contributions to each
         entry in element order. Entries that cancel stay in the pattern as
         stored zeros. Built for any triangulation; the arrays are int32.
+        Raises ValueError if a vertex belongs to no triangle.
         """
         nvert = self.num_vertices
         tri = self.triangles.astype(np.int64, copy=False)
@@ -107,8 +121,11 @@ class Mesh:
         slot[order] = np.cumsum(first, dtype=np.int32) - 1
         keys = keys[first]
         indices = (keys % nvert).astype(np.int32)
+        row_sizes = np.bincount(keys // nvert, minlength=nvert)
+        if not row_sizes.all():  # a vertex of a triangle has at least its diagonal entry
+            raise ValueError(f"mesh vertex {np.argmin(row_sizes)} belongs to no triangle")
         indptr = np.zeros(nvert + 1, dtype=np.int32)
-        np.cumsum(np.bincount(keys // nvert, minlength=nvert), out=indptr[1:])
+        np.cumsum(row_sizes, out=indptr[1:])
         for arr in (indptr, indices, slot):
             arr.flags.writeable = False
         return indptr, indices, slot

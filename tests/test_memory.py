@@ -4,12 +4,14 @@ and the full-saddle oracle, relative to what they return or must hold.
 tracemalloc counts every numpy and scipy buffer. Assembly sums onto the
 mesh's P1 pattern without COO triplets, and condensation drops each
 intermediate before the next product, so its peak is the H product. The
-bounds sit 26% and 11% above the ratios measured at n=64 (assemble 3.17,
-condense 2.62; at n=256 2.62 and 2.57). Building the blocks from COO
-triplets, summing K term by term, and keeping every intermediate of
-condense to the end read 7.89, 3.72 and 2.96 at n=64. The multigrid
-set-up, prolongations included, reads 0.94 times K's bytes at n=64
-(0.85 at n=256) while it keeps one record per level, K_l P_l included;
+bounds sit 36% and 13% above the ratios measured at n=64 (assemble 2.95,
+condense 2.58; at n=256 2.40 and 2.54). A canonical copy of the scalar
+mass before it is stacked into M read 3.02 (2.47 at n=256). Building the
+blocks from COO triplets, summing K term by term, and keeping every
+intermediate of condense to the end read 7.89, 3.72 and 2.96 at n=64.
+The multigrid set-up, prolongations included, reads 0.94 times K's
+bytes at n=64 (0.85 at n=256) while it keeps one record per level, K_l
+P_l included;
 a copy of K for its l1 row sums and 64-bit transfers read 1.54. A study
 holds one level at a time, so its peak is that of its finest level
 alone: 1.006 times at levels 32, 64, 128 of example 2, against 1.19 when

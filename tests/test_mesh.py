@@ -133,19 +133,38 @@ def test_barycentric_gradients_sum_to_zero(n):
     np.testing.assert_allclose(grads.sum(axis=1), 0.0, atol=1e-14)
 
 
+def jittered_square(n, seed=3):
+    """Grid n with its interior vertices moved by up to a fifth of a cell."""
+    mesh = build_structured_unit_square(n)
+    vertices = mesh.vertices.copy()
+    interior = np.all((vertices > 0.0) & (vertices < 1.0), axis=1)
+    rng = np.random.default_rng(seed)
+    vertices[interior] += rng.uniform(-0.2, 0.2, (interior.sum(), 2)) / n
+    return Mesh(vertices=vertices, triangles=mesh.triangles, level=n)
+
+
 @pytest.mark.parametrize("n", [1, 3, 7])
 def test_element_geometry_rows_match_each_triangle(n):
-    # row t against the geometry of triangle t computed on its own: the
-    # barycentric gradients are the rows of the inverse edge-vector matrix
-    mesh = build_structured_unit_square(n)
-    areas, grads = mesh.areas, mesh.gradients
-    for t in sorted({0, 1, mesh.num_triangles // 2, mesh.num_triangles - 1}):
-        p0, p1, p2 = mesh.vertices[mesh.triangles[t]]
-        jac = np.column_stack([p1 - p0, p2 - p0])
-        assert abs(areas[t] - 0.5 * np.linalg.det(jac)) < 1e-15
-        inv = np.linalg.inv(jac)  # rows: grad lambda_1, grad lambda_2
-        want = np.vstack([-inv.sum(axis=0), inv])
-        np.testing.assert_allclose(grads[t], want, rtol=1e-13, atol=1e-12)
+    for mesh in (build_structured_unit_square(n), jittered_square(n)):
+        # row t against the geometry of triangle t computed on its own: the
+        # barycentric gradients are the rows of the inverse edge-vector matrix
+        areas, grads = mesh.areas, mesh.gradients
+        for t in sorted({0, 1, mesh.num_triangles // 2, mesh.num_triangles - 1}):
+            p0, p1, p2 = mesh.vertices[mesh.triangles[t]]
+            jac = np.column_stack([p1 - p0, p2 - p0])
+            assert abs(areas[t] - 0.5 * np.linalg.det(jac)) < 1e-15
+            inv = np.linalg.inv(jac)  # rows: grad lambda_1, grad lambda_2
+            want = np.vstack([-inv.sum(axis=0), inv])
+            np.testing.assert_allclose(grads[t], want, rtol=1e-13, atol=1e-12)
+        # and bit for bit the per-corner formulas: the cross product of the
+        # edges from corner 0, and rot90(p_{a+2} - p_{a+1}) / (2 |T|)
+        p = mesh.vertices[mesh.triangles]
+        d1, d2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
+        assert np.array_equal(areas, (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]) / 2)
+        for a in range(3):
+            e = p[:, (a + 2) % 3] - p[:, (a + 1) % 3]
+            assert np.array_equal(grads[:, a, 0], -e[:, 1] / (2 * areas)), a
+            assert np.array_equal(grads[:, a, 1], e[:, 0] / (2 * areas)), a
 
 
 def test_element_geometry_is_cached_and_read_only():
@@ -153,6 +172,8 @@ def test_element_geometry_is_cached_and_read_only():
     areas, grads = mesh.areas, mesh.gradients
     assert mesh.areas is areas and mesh.gradients is grads
     for arr in (areas, grads):
+        # assembly ravels element arrays built from them, without a copy
+        assert arr.flags.c_contiguous
         with pytest.raises(ValueError):
             arr[0] = 1.0
 
@@ -183,6 +204,40 @@ def test_non_finite_vertex_is_rejected_by_geometry(value):
         Mesh(vertices, good.triangles, good.level).areas
     with pytest.raises(ValueError, match="non-finite vertex"):
         assemble(Mesh(vertices, good.triangles, good.level), example1())
+
+
+_GRID2 = build_structured_unit_square(2)
+
+
+def _grid2_with(index, value):
+    """The n=2 grid's triangles with one vertex index replaced."""
+    triangles = _GRID2.triangles.copy()
+    triangles[index] = value
+    return triangles
+
+
+# case: (vertices, triangles, the cause the error must name)
+MALFORMED = {
+    "negative index": (_GRID2.vertices, _grid2_with((3, 1), -1), r"vertex -1, outside 0\.\.8"),
+    "index V": (_GRID2.vertices, _grid2_with((7, 2), 9), r"vertex 9, outside 0\.\.8"),
+    "four corners": (_GRID2.vertices, np.pad(_GRID2.triangles, ((0, 0), (0, 1))),
+                     r"\(T, 3\) array"),
+    "no triangle": (_GRID2.vertices, _GRID2.triangles[:0], "T >= 1"),
+    "float indices": (_GRID2.vertices, _GRID2.triangles.astype(float), "integer vertex indices"),
+    "three coordinates": (np.pad(_GRID2.vertices, ((0, 0), (0, 1))), _GRID2.triangles,
+                          r"\(V, 2\) array"),
+    "unused vertex": (np.vstack([_GRID2.vertices, [0.5, 0.25]]), _GRID2.triangles,
+                      "vertex 9 belongs to no triangle"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_malformed_mesh_is_refused_with_its_cause(case):
+    # wrapped indices, ignored columns and unused vertices would otherwise
+    # surface as numpy errors, or as a broken dual pairing in assembly
+    vertices, triangles, cause = MALFORMED[case]
+    with pytest.raises(ValueError, match=cause):
+        assemble(Mesh(vertices, triangles, level=2), example1())
 
 
 @pytest.mark.parametrize("name", ["boundary_edges", "boundary_normal", "boundary_length"])
@@ -295,12 +350,7 @@ def test_boundary_does_not_depend_on_triangle_order(seed):
 
 def test_jittered_interior_keeps_the_structured_boundary():
     n = 8
-    mesh = build_structured_unit_square(n)
-    vertices = mesh.vertices.copy()
-    interior = np.all((vertices > 0.0) & (vertices < 1.0), axis=1)
-    rng = np.random.default_rng(3)
-    vertices[interior] += rng.uniform(-0.2, 0.2, (interior.sum(), 2)) / n
-    jittered = Mesh(vertices=vertices, triangles=mesh.triangles, level=n)
+    jittered = jittered_square(n)
     assert np.all(jittered.areas > 0.0)
     assert boundary_of(jittered) == loop_built_square(n)[1]
     np.testing.assert_allclose(jittered.boundary_length, 1.0 / n, rtol=1e-15)
